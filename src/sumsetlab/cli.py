@@ -23,6 +23,7 @@ from .errors import (
 )
 from .explorer import (
     Campaign,
+    load_config,
     read_records,
     run_campaign,
     summarize,
@@ -30,27 +31,14 @@ from .explorer import (
 from .groups import backend_from_spec
 from .isoperimetry import IsoInstance, kappa_restricted
 from .laws import (
-    ATOM_LAWS,
-    LAW_IDS,
+    LAWS,
     THEOREM_LAWS,
-    check_3k4,
-    check_atom_lemmas,
-    check_c_lower,
-    check_corollary_AB,
-    check_equality_characterization,
-    check_freiman_dim,
-    check_gardner_gronchi,
-    check_hls,
-    check_kempermann,
-    check_main_theorem,
-    check_ruzsa_dim,
-    check_uvk,
     empirical_c_lower,
     example_klein_grid,
     example_klein_union,
 )
 from .reports import VERDICT_VIOLATED, subset_payload
-from .setops import FiniteSubset, deficiency, product_set
+from .setops import FiniteSubset, product_set
 
 ENV_PREFIX = "SUMSETLAB_"
 
@@ -91,14 +79,6 @@ def _report_lines(report) -> str:
     return f"{report.law}: {report.verdict}{slack}{detail}"
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    seed = int.from_bytes(os.urandom(4), "big")
-    print(f"seed: {seed}", file=sys.stderr)
-    return seed
-
-
 def _cmd_sumset(args) -> int:
     backend = backend_from_spec(args.group)
     A = _load_set(backend, args.a_file)
@@ -135,56 +115,25 @@ def _cmd_kappa(args) -> int:
     return 0
 
 
+def _verify_input(args, backend, name: str) -> FiniteSubset:
+    """A law's named set: from --<name>-file, or for a window the --radius ball by default."""
+    if name == "window":
+        return _load_set(backend, args.window_file) if args.window_file else backend.ball(args.radius)
+    path = getattr(args, f"{name.lower()}_file")
+    if path is None:
+        raise UsageError(f"law {args.law} requires --{name.lower()}-file")
+    return _load_set(backend, path)
+
+
 def _cmd_verify(args) -> int:
     backend = backend_from_spec(args.group)
-    law = args.law
-    if law not in LAW_IDS:
-        raise UsageError(f"unknown law id {law!r}")
-
-    def need(path, flag):
-        if path is None:
-            raise UsageError(f"law {law} requires {flag}")
-        return _load_set(backend, path)
-
-    if law == "kempermann":
-        reports = [check_kempermann(need(args.a_file, "--a-file"), need(args.b_file, "--b-file"))]
-    elif law == "hls":
-        reports = [check_hls(need(args.a_file, "--a-file"), need(args.b_file, "--b-file"))]
-    elif law == "ruzsa_dim":
-        reports = [check_ruzsa_dim(need(args.a_file, "--a-file"), need(args.b_file, "--b-file"))]
-    elif law == "gardner_gronchi":
-        reports = [check_gardner_gronchi(need(args.a_file, "--a-file"), need(args.b_file, "--b-file"))]
-    elif law == "freiman_dim":
-        reports = [check_freiman_dim(need(args.a_file, "--a-file"))]
-    elif law == "3k4":
-        reports = [check_3k4(need(args.a_file, "--a-file"))]
-    elif law == "corollary_ab":
-        reports = [check_corollary_AB(need(args.a_file, "--a-file"))]
-    elif law == "equality":
-        if args.window_file:
-            window = _load_set(backend, args.window_file)
-        else:
-            window = backend.ball(args.radius)
-        reports = [check_equality_characterization(window, (2, args.max_size))]
-    elif law == "uvk":
-        reports = [check_uvk(need(args.b_file, "--b-file"), args.d)]
-    elif law == "main_theorem":
-        reports = [check_main_theorem(need(args.a_file, "--a-file"), need(args.b_file, "--b-file"),
-                                      args.k, args.general_bound)]
-    elif law == "c_lower":
-        reports = [check_c_lower(args.k)]
-    elif law == "klein_grid":
-        reports = [example_klein_grid(args.m)[2]]
-    elif law == "klein_union":
-        reports = [example_klein_union(args.m)[1]]
-    elif law in ATOM_LAWS:
-        C = need(args.c_file, "--c-file")
-        window = backend.ball(args.radius)
-        result = kappa_restricted(IsoInstance(C, args.n, window))
-        reports = [r for r in check_atom_lemmas(C, args.n, result) if r.law == law]
-    else:
-        raise UsageError(f"law {law} has no CLI runner")
-
+    law = LAWS.get(args.law)
+    if law is None:
+        raise UsageError(f"unknown law id {args.law!r}")
+    flags = {"n": args.n, "k": args.k, "d": args.d, "m": args.m,
+             "use_general_bound": args.general_bound, "sizes": (2, args.max_size)}
+    inputs = {name: _verify_input(args, backend, name) for name in law.sets}
+    reports = law.run(**inputs, **{p: flags[p] for p in law.params})
     _emit(args, [_report_lines(r) for r in reports], [r.to_dict() for r in reports])
     bad = any(r.verdict == VERDICT_VIOLATED and r.law in THEOREM_LAWS for r in reports)
     return 1 if bad else 0
@@ -213,15 +162,14 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_config(args.config)
     if args.seed is not None:
-        data["seed"] = int(args.seed)
+        data["seed"] = args.seed
     elif "seed" not in data:
         data["seed"] = int.from_bytes(os.urandom(4), "big")
         print(f"seed: {data['seed']}", file=sys.stderr)
     if args.jobs is not None:
-        data["jobs"] = int(args.jobs)
+        data["jobs"] = args.jobs
     campaign = Campaign.from_dict(data)
     run = run_campaign(campaign, store_path=args.out)
     lines = [
@@ -246,8 +194,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = read_records(args.run)
-    rows = summarize(records)
+    rows = summarize(read_records(args.run))
     header = ["law", "holds", "violated", "hypothesis_not_met", "finding", "skipped",
               "min_slack", "max_slack"]
     if args.format == "json":
@@ -257,11 +204,7 @@ def _cmd_report(args) -> int:
         for row in rows:
             csv_lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
         _emit(args, csv_lines, rows)
-    violated = sum(
-        1
-        for record in records
-        if record["report"]["verdict"] == VERDICT_VIOLATED and record["law"] in THEOREM_LAWS
-    )
+    violated = any(row["violated"] for row in rows if row["law"] in THEOREM_LAWS)
     return 1 if violated else 0
 
 
@@ -285,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kappa", help="restricted isoperimetric minimum of a set file")
     p.add_argument("c_file")
     p.add_argument("--group", required=_env_default("group") is None, **group_kw)
-    p.add_argument("--n", type=int, default=int(_env_default("n") or 1))
-    p.add_argument("--radius", type=int, default=int(_env_default("radius") or 4))
+    p.add_argument("--n", type=int, default=_env_default("n") or 1)
+    p.add_argument("--radius", type=int, default=_env_default("radius") or 4)
     _add_common(p)
     p.set_defaults(func=_cmd_kappa)
 
@@ -297,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-file")
     p.add_argument("--c-file")
     p.add_argument("--window-file")
-    p.add_argument("--n", type=int, default=int(_env_default("n") or 2))
-    p.add_argument("--k", type=int, default=int(_env_default("k") or 1))
-    p.add_argument("--d", type=int, default=int(_env_default("d") or 3))
-    p.add_argument("--m", type=int, default=int(_env_default("m") or 1))
-    p.add_argument("--radius", type=int, default=int(_env_default("radius") or 3))
+    p.add_argument("--n", type=int, default=_env_default("n") or 2)
+    p.add_argument("--k", type=int, default=_env_default("k") or 1)
+    p.add_argument("--d", type=int, default=_env_default("d") or 3)
+    p.add_argument("--m", type=int, default=_env_default("m") or 1)
+    p.add_argument("--radius", type=int, default=_env_default("radius") or 3)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--general-bound", action="store_true")
     _add_common(p)
@@ -309,15 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="construct a named example family")
     p.add_argument("--name", required=True, choices=("klein-grid", "klein-union", "c-lower"))
-    p.add_argument("--m", type=int, default=int(_env_default("m") or 1))
-    p.add_argument("--k", type=int, default=int(_env_default("k") or 1))
+    p.add_argument("--m", type=int, default=_env_default("m") or 1)
+    p.add_argument("--k", type=int, default=_env_default("k") or 1)
     _add_common(p)
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("explore", help="run a seeded campaign from a config file")
     p.add_argument("--config", required=True, default=_env_default("config"))
-    p.add_argument("--seed", default=_env_default("seed"))
-    p.add_argument("--jobs", default=_env_default("jobs"))
+    p.add_argument("--seed", type=int, default=_env_default("seed"))
+    p.add_argument("--jobs", type=int, default=_env_default("jobs"))
     _add_common(p)
     p.set_defaults(func=_cmd_explore)
 

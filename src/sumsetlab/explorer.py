@@ -22,31 +22,10 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .errors import ResourceLimitError, UnsupportedOperationError, UsageError
-from .groups import GroupBackend, KleinBackend, LatticeBackend, backend_from_spec
+from .errors import ParseError, ResourceLimitError, UsageError
+from .groups import GroupBackend, LatticeBackend, backend_from_spec
 from .isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
-from .laws import (
-    ATOM_LAWS,
-    EQUALITY_PAIR_CAP,
-    LAW_IDS,
-    THEOREM_LAWS,
-    check_3k4,
-    check_atom_lemmas,
-    check_c_lower,
-    check_corollary_AB,
-    check_equality_characterization,
-    check_freiman_dim,
-    check_gardner_gronchi,
-    check_hls,
-    check_kempermann,
-    check_main_theorem,
-    check_ruzsa_dim,
-    check_uvk,
-    example_klein_grid,
-    example_klein_union,
-    klein_union_set,
-    standard_triple,
-)
+from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4, klein_union_set
 from .reports import (
     LawReport,
     VERDICT_FINDING,
@@ -65,10 +44,7 @@ SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
 
 EXTREMAL_PAIR_CAP = 200_000
-
-_PAIR_LAWS = frozenset({"kempermann", "hls", "ruzsa_dim", "gardner_gronchi"})
-_LATTICE_ONLY = frozenset({"freiman_dim", "ruzsa_dim", "gardner_gronchi"})
-_KLEIN_ONLY = frozenset({"klein_grid", "klein_union", "c_lower"})
+ATOM_HUNT_SUBSET_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -94,6 +70,13 @@ class Campaign:
             raise UsageError(f"unknown law ids: {unknown}")
         if self.budget < 1:
             raise UsageError("budget must be positive")
+        if self.jobs < 1:
+            raise UsageError("jobs must be positive")
+        if len(self.sizes) != 2 or not 1 <= self.sizes[0] <= self.sizes[1]:
+            raise UsageError(f"sizes must be [lo, hi] with 1 <= lo <= hi, got {list(self.sizes)}")
+        for name in ("n_values", "k_values", "d_values", "m_values"):
+            if not getattr(self, name):
+                raise UsageError(f"{name} must not be empty")
 
     def canonical(self) -> dict:
         # jobs is an execution parameter, not part of the campaign identity
@@ -132,18 +115,32 @@ class Campaign:
         if not laws:
             raise UsageError("campaign config needs at least one law")
         kwargs = {}
-        for name in ("budget", "seed", "jobs", "radius", "iso_radius"):
-            if name in data:
-                kwargs[name] = int(data[name])
-        for name in ("sizes", "n_values", "k_values", "d_values", "m_values"):
-            if name in data:
-                kwargs[name] = tuple(int(x) for x in data[name])
+        try:
+            for name in ("budget", "seed", "jobs", "radius", "iso_radius"):
+                if name in data:
+                    kwargs[name] = int(data[name])
+            for name in ("sizes", "n_values", "k_values", "d_values", "m_values"):
+                if name in data:
+                    kwargs[name] = tuple(int(x) for x in data[name])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"campaign field {name!r} needs integers: {exc}") from None
         return cls(backends=tuple(backends), laws=tuple(laws), **kwargs)
 
     @classmethod
     def from_file(cls, path) -> "Campaign":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_config(path))
+
+
+def load_config(path) -> dict:
+    """A campaign config file's JSON object; malformed JSON is a ParseError at its position."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"campaign config {path}: {exc.msg}", exc.lineno, exc.colno) from None
+    if not isinstance(data, dict):
+        raise ParseError(f"campaign config {path} is not a JSON object")
+    return data
 
 
 @dataclass
@@ -169,100 +166,42 @@ def sample_subset(rng: random.Random, backend: GroupBackend, radius: int, size: 
     return FiniteSubset.from_keys(backend, rng.sample(ball, size))
 
 
+@dataclass(frozen=True)
+class _Draw:
+    """Seeded uniform subsets of the radius ball, sized within [lo, hi]."""
+
+    backend: GroupBackend
+    rng: random.Random
+    radius: int
+    iso_radius: int
+    lo: int
+    hi: int
+
+    def subset(self, min_size: int = 1, max_size: int | None = None) -> FiniteSubset:
+        lo = max(self.lo, min_size)
+        hi = max(self.hi, lo) if max_size is None else min(self.hi, max_size)
+        return sample_subset(self.rng, self.backend, self.radius, self.rng.randint(lo, hi))
+
+
 def _skip(law: str, detail: str) -> list[LawReport]:
     return [LawReport(law, VERDICT_SKIPPED, None, {}, detail)]
 
 
-def _run_law_instance(c: Campaign, backend_spec: str, law: str, index: int) -> list[LawReport]:
+def _run_law_instance(c: Campaign, backend_spec: str, law_id: str, index: int) -> list[LawReport]:
     backend = backend_from_spec(backend_spec)
-    rng = _instance_rng(c.seed, backend_spec, law, index)
-    lo, hi = c.sizes
-    hi = min(hi, len(backend.ball_keys(c.radius)))
-    lo = min(lo, hi)
-
-    if law in _LATTICE_ONLY and not isinstance(backend, LatticeBackend):
-        return _skip(law, "lattice backends only")
-    if law in _KLEIN_ONLY and not isinstance(backend, KleinBackend):
-        return _skip(law, "klein-specific family")
-
-    if law in _PAIR_LAWS:
-        A = sample_subset(rng, backend, c.radius, rng.randint(lo, hi))
-        B = sample_subset(rng, backend, c.radius, rng.randint(lo, hi))
-        if law in ("ruzsa_dim", "gardner_gronchi") and len(A) < len(B):
-            A, B = B, A
-        checker = {
-            "kempermann": check_kempermann,
-            "hls": check_hls,
-            "ruzsa_dim": check_ruzsa_dim,
-            "gardner_gronchi": check_gardner_gronchi,
-        }[law]
-        return [checker(A, B)]
-
-    if law == "freiman_dim":
-        A = sample_subset(rng, backend, c.radius, rng.randint(lo, hi))
-        return [check_freiman_dim(A)]
-
-    if law == "equality":
-        window = backend.ball(min(c.radius, 2))
-        max_size = min(hi, 3)
-        while max_size >= 2:
-            total = sum(math.comb(len(window), s) for s in range(2, max_size + 1))
-            if total * total <= EQUALITY_PAIR_CAP:
-                break
-            max_size -= 1
-        if max_size < 2:
-            return _skip(law, "window too large for exhaustive pair enumeration")
-        return [check_equality_characterization(window, (2, max_size))]
-
-    if law == "3k4":
-        lo4 = max(lo, 4)
-        A = sample_subset(rng, backend, c.radius, rng.randint(lo4, max(hi, lo4)))
-        return [check_3k4(A)]
-
-    if law == "uvk":
-        try:
-            standard_triple(backend)
-        except UnsupportedOperationError:
-            return _skip(law, "no non-commuting generator pair")
-        d = c.d_values[index % len(c.d_values)]
-        B = sample_subset(rng, backend, c.radius, rng.randint(lo, hi))
-        return [check_uvk(B, d)]
-
-    if law == "main_theorem":
-        k = c.k_values[index % len(c.k_values)]
-        lo2 = max(lo, 2)
-        A = sample_subset(rng, backend, c.radius, rng.randint(lo2, max(hi, lo2)))
-        B = sample_subset(rng, backend, c.radius, rng.randint(lo, hi))
-        return [check_main_theorem(A, B, k)]
-
-    if law == "corollary_ab":
-        A = sample_subset(rng, backend, c.radius, rng.randint(lo, hi))
-        return [check_corollary_AB(A)]
-
-    if law == "klein_grid":
-        m = c.m_values[index % len(c.m_values)]
-        return [example_klein_grid(m)[2]]
-
-    if law == "klein_union":
-        m = c.m_values[index % len(c.m_values)]
-        return [example_klein_union(m)[1]]
-
-    if law == "c_lower":
-        k = c.k_values[index % len(c.k_values)]
-        return [check_c_lower(k)]
-
-    if law in ATOM_LAWS:
-        window = backend.ball(c.iso_radius)
-        n = c.n_values[index % len(c.n_values)]
-        if n > len(window):
-            return _skip(law, "window smaller than n")
-        size = rng.randint(max(lo, 1), min(hi, 6))
-        C = sample_subset(rng, backend, c.radius, size)
-        result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
-        reports = check_atom_lemmas(C, n, result)
-        return [r for r in reports if r.law == law]
-
-    raise UsageError(f"no campaign runner for law {law!r}")
+    rng = _instance_rng(c.seed, backend_spec, law_id, index)
+    hi = min(c.sizes[1], len(backend.ball_keys(c.radius)))
+    law = LAWS[law_id]
+    detail = law.skip(backend)
+    if detail is not None:
+        return _skip(law_id, detail)
+    grids = {"n": c.n_values, "k": c.k_values, "d": c.d_values, "m": c.m_values}
+    params = {p: grids[p][index % len(grids[p])] for p in law.params if p in grids}
+    draw = _Draw(backend, rng, c.radius, c.iso_radius, min(c.sizes[0], hi), hi)
+    drawn = law.sample(draw, params) if law.sample else {name: draw.subset() for name in law.sets}
+    if isinstance(drawn, str):
+        return _skip(law_id, drawn)
+    return law.run(**params, **drawn)
 
 
 def _record_sort_key(record: dict):
@@ -331,17 +270,29 @@ def write_records(path, records: list[dict]) -> None:
 def read_records(path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"record store {path}: {exc.msg}", lineno, exc.colno) from None
     return records
 
 
 def summarize(records: list[dict]) -> list[dict]:
-    """Per-law verdict counts and slack extremes, sorted by law id."""
+    """Per-law verdict counts and slack extremes, sorted by law id.
+
+    A store that holds the same campaign twice counts each
+    (campaign, backend, law, index, sub) once.
+    """
     by_law: dict[str, dict] = {}
+    seen = set()
     for record in records:
+        key = (record["campaign"], record["backend"], record["law"], record["index"], record["sub"])
+        if key in seen:
+            continue
+        seen.add(key)
         report = record["report"]
         row = by_law.setdefault(
             record["law"],
@@ -414,6 +365,10 @@ def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
     window = backend.ball(grid.get("x_radius", 4))
     id_key = backend.identity_key
     others = [k for k in universe if k != id_key]
+    if 1 << len(others) > ATOM_HUNT_SUBSET_CAP:
+        raise ResourceLimitError(
+            f"{1 << len(others)} sets C exceed the atom hunt cap {ATOM_HUNT_SUBSET_CAP}"
+        )
     findings: list[LawReport] = []
     for mask in range(1 << len(others)):
         keys = [id_key] + [k for i, k in enumerate(others) if mask >> i & 1]

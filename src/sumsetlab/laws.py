@@ -4,6 +4,9 @@ Every checker returns a :class:`LawReport` whose witness payload is rich
 enough to replay the check via :func:`replay`. Hypotheses are always
 evaluated before conclusions, so each report carries exactly one verdict.
 Conjecture-status checks never report ``violated``; they emit ``finding``.
+
+:data:`LAWS` is the one registry of law ids: campaigns, ``sumsetlab
+verify`` and :func:`replay` all run a law through its entry.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from collections.abc import Callable
 
 from .errors import DomainError, ResourceLimitError, UnsupportedOperationError, UsageError
 from .groups import (
@@ -21,7 +25,7 @@ from .groups import (
     LatticeBackend,
     backend_from_spec,
 )
-from .isoperimetry import CERTIFIED_EXACT, IsoResult
+from .isoperimetry import CERTIFIED_EXACT, IsoInstance, IsoResult, kappa_restricted
 from .reports import (
     LawReport,
     VERDICT_FINDING,
@@ -46,36 +50,6 @@ from .setops import (
 GG_GUARD = 1e-9
 UNIQUE_PRODUCT_SQUARE_THRESHOLD = 216  # 6^3
 EQUALITY_PAIR_CAP = 500_000
-
-ATOM_LAWS = (
-    "atom_left",
-    "atom_right",
-    "atom_nonunique",
-    "two_atom_rough",
-    "two_atom",
-    "n_atom",
-    "atom_conjecture",
-)
-
-LAW_IDS = (
-    "kempermann",
-    "equality",
-    "hls",
-    "freiman_dim",
-    "ruzsa_dim",
-    "gardner_gronchi",
-    "3k4",
-    *ATOM_LAWS,
-    "uvk",
-    "main_theorem",
-    "corollary_ab",
-    "klein_grid",
-    "klein_union",
-    "c_lower",
-)
-
-CONJECTURE_LAWS = frozenset({"atom_conjecture", "freiman_union"})
-THEOREM_LAWS = frozenset(LAW_IDS) - CONJECTURE_LAWS | {"atom_intersection"}
 
 
 def _binom2(x: int) -> int:
@@ -544,45 +518,134 @@ def check_c_lower(k: int) -> LawReport:
     return LawReport("c_lower", verdict, k - w.deficiency, witness)
 
 
-# -- replay -----------------------------------------------------------------
+# -- the law registry ---------------------------------------------------------
+
+THEOREM = "theorem"
+CONJECTURE = "conjecture"
+
+
+@dataclass(frozen=True)
+class Law:
+    """How one law id is checked, whoever asks: a campaign, ``verify`` or replay.
+
+    ``run`` takes the named inputs as keywords and returns the reports. It
+    calls its checker by the checker's name in this module, looked up at
+    call time, so a wrapper installed on that name sees every call. The
+    inputs are the named sets in ``sets`` (``A``, ``B``, ``C``, ``window``)
+    and the parameters in ``params`` (``d``, ``k``, ``m``, ``n``,
+    ``use_general_bound``, ``sizes``); a witness names them the same way.
+    """
+
+    run: Callable[..., list[LawReport]]
+    sets: tuple[str, ...] = ()
+    params: tuple[str, ...] = ()
+    status: str = THEOREM
+    # backend -> why a campaign skips the law there, or None where it applies
+    skip: Callable[[GroupBackend], str | None] = lambda backend: None
+    # (draw, grid params) -> the drawn inputs or a skip detail, where a
+    # campaign draws other than one uniform subset per named set
+    sample: Callable | None = None
+    # witness -> report, where the witness does not hold the inputs
+    replay: Callable[[dict], LawReport] | None = None
+
+
+def _lattice_only(backend: GroupBackend) -> str | None:
+    return None if isinstance(backend, LatticeBackend) else "lattice backends only"
+
+
+def _klein_only(backend: GroupBackend) -> str | None:
+    return None if isinstance(backend, KleinBackend) else "klein-specific family"
+
+
+def _needs_noncommuting_pair(backend: GroupBackend) -> str | None:
+    try:
+        _noncommuting_pair(backend)
+    except UnsupportedOperationError:
+        return "no non-commuting generator pair"
+    return None
+
+
+def _sample_larger_first(draw, params: dict) -> dict:
+    A, B = draw.subset(), draw.subset()
+    return {"A": A, "B": B} if len(A) >= len(B) else {"A": B, "B": A}
+
+
+def _sample_equality(draw, params: dict) -> dict | str:
+    """The ball of radius at most 2, with the widest size range under the pair cap."""
+    window = draw.backend.ball(min(draw.radius, 2))
+    for max_size in range(min(draw.hi, 3), 1, -1):
+        total = sum(math.comb(len(window), s) for s in range(2, max_size + 1))
+        if total * total <= EQUALITY_PAIR_CAP:
+            return {"window": window, "sizes": (2, max_size)}
+    return "window too large for exhaustive pair enumeration"
+
+
+def _sample_iso_instance(draw, params: dict) -> dict | str:
+    window = draw.backend.ball(draw.iso_radius)
+    if params["n"] > len(window):
+        return "window smaller than n"
+    return {"C": draw.subset(max_size=6), "window": window}
+
+
+def _atom_law(law: str, status: str = THEOREM) -> Law:
+    """An atom lemma: checked on the certified atoms of kappa over (C, n, window)."""
+
+    def run(C, n, window):
+        result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
+        return [r for r in check_atom_lemmas(C, n, result) if r.law == law]
+
+    def replay(w):
+        U, C = subset_from_payload(w["U"]), subset_from_payload(w["C"])
+        return _atom_lemma_report(law, U, C, w["n"], w.get("k"))
+
+    return Law(run, ("C", "window"), ("n",), status, sample=_sample_iso_instance, replay=replay)
+
+
+LAWS: dict[str, Law] = {
+    "kempermann": Law(lambda A, B: [check_kempermann(A, B)], ("A", "B")),
+    "equality": Law(lambda window, sizes: [check_equality_characterization(window, sizes)],
+                    ("window",), ("sizes",), sample=_sample_equality),
+    "hls": Law(lambda A, B: [check_hls(A, B)], ("A", "B")),
+    "freiman_dim": Law(lambda A: [check_freiman_dim(A)], ("A",), skip=_lattice_only),
+    "ruzsa_dim": Law(lambda A, B: [check_ruzsa_dim(A, B)], ("A", "B"),
+                     skip=_lattice_only, sample=_sample_larger_first),
+    "gardner_gronchi": Law(lambda A, B: [check_gardner_gronchi(A, B)], ("A", "B"),
+                           skip=_lattice_only, sample=_sample_larger_first),
+    "3k4": Law(lambda A: [check_3k4(A)], ("A",), sample=lambda draw, params: {"A": draw.subset(4)}),
+    "atom_left": _atom_law("atom_left"),
+    "atom_right": _atom_law("atom_right"),
+    "atom_nonunique": _atom_law("atom_nonunique"),
+    "two_atom_rough": _atom_law("two_atom_rough"),
+    "two_atom": _atom_law("two_atom"),
+    "n_atom": _atom_law("n_atom"),
+    "atom_conjecture": _atom_law("atom_conjecture", CONJECTURE),
+    "uvk": Law(lambda B, d: [check_uvk(B, d)], ("B",), ("d",), skip=_needs_noncommuting_pair),
+    "main_theorem": Law(
+        lambda A, B, k, use_general_bound=False: [check_main_theorem(A, B, k, use_general_bound)],
+        ("A", "B"), ("k", "use_general_bound"),
+        sample=lambda draw, params: {"A": draw.subset(2), "B": draw.subset()},
+    ),
+    "corollary_ab": Law(lambda A: [check_corollary_AB(A)], ("A",)),
+    "klein_grid": Law(lambda m: [example_klein_grid(m)[2]], params=("m",), skip=_klein_only),
+    "klein_union": Law(lambda m: [example_klein_union(m)[1]], params=("m",), skip=_klein_only),
+    "c_lower": Law(lambda k: [check_c_lower(k)], params=("k",), skip=_klein_only),
+}
+
+LAW_IDS = tuple(LAWS)
+# the atom lemmas are the laws on an isoperimetric instance (C, n, window)
+ATOM_LAWS = tuple(law for law, entry in LAWS.items() if "C" in entry.sets)
+# freiman_union is a hunt's finding and atom_intersection isoperimetry's check
+CONJECTURE_LAWS = frozenset(law for law, entry in LAWS.items() if entry.status == CONJECTURE) | {"freiman_union"}
+THEOREM_LAWS = frozenset(law for law, entry in LAWS.items() if entry.status == THEOREM) | {"atom_intersection"}
 
 
 def replay(report: LawReport) -> LawReport:
     """Recompute a report from its witness payload."""
-    law, w = report.law, report.witness
-    if law == "kempermann":
-        return check_kempermann(subset_from_payload(w["A"]), subset_from_payload(w["B"]))
-    if law == "hls":
-        return check_hls(subset_from_payload(w["A"]), subset_from_payload(w["B"]))
-    if law == "freiman_dim":
-        return check_freiman_dim(subset_from_payload(w["A"]))
-    if law == "ruzsa_dim":
-        return check_ruzsa_dim(subset_from_payload(w["A"]), subset_from_payload(w["B"]))
-    if law == "gardner_gronchi":
-        return check_gardner_gronchi(subset_from_payload(w["A"]), subset_from_payload(w["B"]))
-    if law == "equality":
-        return check_equality_characterization(subset_from_payload(w["window"]), tuple(w["sizes"]))
-    if law == "3k4":
-        return check_3k4(subset_from_payload(w["A"]))
-    if law == "corollary_ab":
-        return check_corollary_AB(subset_from_payload(w["A"]))
-    if law in ATOM_LAWS:
-        return _atom_lemma_report(
-            law, subset_from_payload(w["U"]), subset_from_payload(w["C"]), w["n"], w.get("k")
-        )
-    if law == "uvk":
-        return check_uvk(subset_from_payload(w["B"]), w["d"])
-    if law == "main_theorem":
-        return check_main_theorem(
-            subset_from_payload(w["A"]),
-            subset_from_payload(w["B"]),
-            w["k"],
-            w.get("use_general_bound", False),
-        )
-    if law == "klein_grid":
-        return example_klein_grid(w["m"])[2]
-    if law == "klein_union":
-        return example_klein_union(w["m"])[1]
-    if law == "c_lower":
-        return check_c_lower(w["k"])
-    raise UsageError(f"law {law!r} does not support replay")
+    law, w = LAWS.get(report.law), report.witness
+    if law is None:
+        raise UsageError(f"law {report.law!r} does not support replay")
+    if law.replay is not None:
+        return law.replay(w)
+    inputs = {name: subset_from_payload(w[name]) for name in law.sets}
+    inputs.update((p, w[p]) for p in law.params if p in w)
+    return law.run(**inputs)[0]

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from sumsetlab.cli import main
-from sumsetlab.laws import klein_grid_sets
+from sumsetlab.cli import build_parser, main
+from sumsetlab.groups import backend_from_spec
+from sumsetlab.laws import LAW_IDS, klein_grid_sets
+from sumsetlab.setops import FiniteSubset
 
 
 @pytest.fixture
@@ -210,3 +212,96 @@ def test_env_defaults_format(monkeypatch, z_files, capsys):
     code, out, _ = run_cli(capsys, "sumset", a, b)
     assert code == 0
     assert "|AB| = 5" in out
+
+
+# -- every registered law through verify -------------------------------------
+
+KLEIN_VERIFY_LAWS = {"uvk", "klein_grid", "klein_union", "c_lower"}
+
+
+@pytest.mark.parametrize("law", LAW_IDS)
+def test_verify_runs_every_registered_law(law, tmp_path, capsys):
+    group = "klein" if law in KLEIN_VERIFY_LAWS else "zd:2"
+    if group == "klein":
+        A, B = klein_grid_sets(11)
+        sets = {"a": A, "b": B, "c": A}
+    else:
+        z2 = backend_from_spec("zd:2")
+        sets = {
+            "a": FiniteSubset.from_keys(z2, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]),
+            "b": FiniteSubset.from_keys(z2, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+            "c": FiniteSubset.from_keys(z2, [(0, 0), (1, 0), (2, 0)]),
+        }
+    files = []
+    for name, S in sets.items():
+        path = tmp_path / f"{name}.txt"
+        S.to_file(path)
+        files += [f"--{name}-file", str(path)]
+    code, out, err = run_cli(capsys, "verify", "--law", law, "--group", group, "--n", "2",
+                             "--radius", "2", "--max-size", "3", *files)
+    assert code == 0, err
+    assert out.startswith(f"{law}: ")
+
+
+# -- exit code 2 for malformed explore and report input -------------------------
+
+
+def test_explore_malformed_json_is_a_parse_error(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text('{\n  "backends": ["zd:1"],\n  "budget": ,\n}\n')
+    code, _, err = run_cli(capsys, "explore", "--config", str(config))
+    assert code == 2
+    assert "parse error" in err and "line 3, column 13" in err
+
+
+def test_explore_non_integer_field_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": "x", "seed": 1}))
+    code, _, err = run_cli(capsys, "explore", "--config", str(config))
+    assert code == 2
+    assert "budget" in err
+
+
+def test_explore_non_integer_jobs_exits_2(tmp_path):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 1, "seed": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--config", str(config), "--jobs", "x"])
+    assert exc.value.code == 2
+
+
+def test_report_non_json_store_line_is_a_parse_error(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 1}))
+    store = tmp_path / "st.jsonl"
+    run_cli(capsys, "explore", "--config", str(config), "--out", str(store))
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    code, _, err = run_cli(capsys, "report", "--run", str(store))
+    assert code == 2
+    assert "parse error" in err and "line 3, column 1" in err
+
+
+@pytest.mark.parametrize("name", ["N", "RADIUS", "K", "D", "M"])
+def test_bad_env_default_int_fails_only_its_subcommand(name, monkeypatch, z_files, capsys):
+    monkeypatch.setenv(f"SUMSETLAB_{name}", "x")
+    build_parser()
+    a, b = z_files
+    code, out, _ = run_cli(capsys, "sumset", a, b, "--group", "zd:1")
+    assert code == 0 and "|AB| = 5" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--law", "kempermann", "--group", "zd:1", "--a-file", a, "--b-file", b])
+    assert exc.value.code == 2
+
+
+def test_report_counts_a_campaign_run_twice_into_one_store_once(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 3, "seed": 4}))
+    store = tmp_path / "st.jsonl"
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "explore", "--config", str(config), "--out", str(store))
+        assert code == 0
+    assert len(store.read_text().splitlines()) == 6
+    code, out, _ = run_cli(capsys, "report", "--run", str(store), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["holds"] == 3

@@ -41,6 +41,21 @@ def test_campaign_validation():
         Campaign(backends=("what:1",), laws=("kempermann",))
 
 
+@pytest.mark.parametrize("bad", [
+    {"n_values": ()},
+    {"k_values": ()},
+    {"d_values": ()},
+    {"m_values": ()},
+    {"sizes": (5, 2)},
+    {"sizes": (0, 3)},
+    {"jobs": 0},
+    {"jobs": -3},
+])
+def test_campaign_rejects_bad_config(bad):
+    with pytest.raises(UsageError):
+        Campaign(backends=("klein",), laws=("uvk",), **bad)
+
+
 def test_campaign_hash_ignores_jobs():
     assert small_campaign(jobs=1).hash() == small_campaign(jobs=4).hash()
     assert small_campaign(seed=1).hash() != small_campaign(seed=2).hash()
@@ -252,6 +267,18 @@ def test_extremal_pairs_cap(z1):
 def test_hunt_atom_conjecture_z_small():
     findings = hunt("atom_conjecture", {"backend": "zd:1", "span": 5, "n_max": 2, "x_radius": 3})
     assert findings == []
+
+
+def test_hunt_atom_conjecture_caps_before_enumerating(monkeypatch):
+    from sumsetlab import explorer
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the hunt searched before checking its cap")
+
+    monkeypatch.setattr(explorer, "kappa_restricted", no_search)
+    # klein's radius-3 ball has 25 elements: 2^24 sets C
+    with pytest.raises(ResourceLimitError):
+        hunt("atom_conjecture", {"backend": "klein"})
 
 
 def test_hunt_3k4_z():
