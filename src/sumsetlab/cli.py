@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("explore", help="run a seeded campaign from a config file")
-    p.add_argument("--config", required=True, default=_env_default("config"))
+    config = _env_default("config")
+    p.add_argument("--config", required=config is None, default=config)
     p.add_argument("--seed", type=int, default=_env_default("seed"))
     p.add_argument("--jobs", type=int, default=_env_default("jobs"))
     _add_common(p)

@@ -45,6 +45,7 @@ ARTIFACT_VERSION = "0.1.0"
 
 EXTREMAL_PAIR_CAP = 200_000
 ATOM_HUNT_SUBSET_CAP = 1 << 12
+HUNT_3K4_SET_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -272,11 +273,18 @@ def read_records(path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"record store {path}: {exc.msg}", lineno, exc.colno) from None
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"record store {path}: {exc.msg}", lineno, exc.colno) from None
+            version = record.get("schema_version") if isinstance(record, dict) else None
+            if version != SCHEMA_VERSION:
+                raise ParseError(
+                    f"record store {path}: schema_version {version!r} is not {SCHEMA_VERSION}", lineno
+                )
+            records.append(record)
     return records
 
 
@@ -396,6 +404,9 @@ def _hunt_3k4(grid: dict) -> list[LawReport]:
     backend = backend_from_spec(grid.get("backend", "zd:1"))
     universe = _universe_keys(backend, grid)
     sizes = grid.get("sizes", (4, 5))
+    total = sum(math.comb(len(universe), size) for size in sizes)
+    if total > HUNT_3K4_SET_CAP:
+        raise ResourceLimitError(f"{total} sets A exceed the 3k-4 hunt cap {HUNT_3K4_SET_CAP}")
     findings: list[LawReport] = []
     for size in sizes:
         for combo in itertools.combinations(universe, size):

@@ -60,230 +60,123 @@ class IsoResult:
     instance: IsoInstance
 
 
-class _StopSearch(Exception):
-    pass
-
-
 class _Search:
-    """Combination-tree search over window subsets containing the identity.
+    """One combination-tree traversal over window subsets containing the identity.
 
-    |XC| is maintained incrementally as a multiset of products. Two
-    admissible bounds prune subtrees: adding one element lowers the
-    objective by at most 1, and for every fixed c in C the products x*c
-    of added elements x are pairwise distinct, so the total achievable
-    reduction is capped by the number of undecided pool elements whose
-    c-product already lies in XC.
+    The products window*C are numbered once, so XC is an int bitmask: each
+    candidate has a row mask, a child's mask is its parent's OR its row,
+    and |XC| is the mask's popcount. Two admissible bounds prune subtrees
+    that cannot tie the incumbent: adding one element lowers the objective
+    by at most 1, and for every fixed c in C the map x -> x*c is injective,
+    so the reduction is at most the number of undecided candidates whose
+    c-product already lies in XC, popcount(mask & suffix_c[i]).
     """
 
     def __init__(self, inst: IsoInstance):
-        backend = inst.backend
-        self.mul = backend.mul_key
-        self.ckeys = inst.C.keys
-        self.id_key = backend.identity_key
+        mul = inst.backend.mul_key
+        self.id_key = inst.backend.identity_key
         self.cands = [k for k in inst.window.keys if k != self.id_key]
         self.n = inst.n
-        self.counts: dict = {}
-        self.size = 0
-        self.prod = 0
-        self.stack: list = []
-        self._push(self.id_key)
+        bits: dict = {}
 
-    def _push(self, x):
-        counts = self.counts
-        mul = self.mul
-        for c in self.ckeys:
-            key = mul(x, c)
-            m = counts.get(key, 0)
-            if m == 0:
-                self.prod += 1
-            counts[key] = m + 1
-        self.size += 1
+        def row(x) -> list[int]:
+            return [1 << bits.setdefault(mul(x, c), len(bits)) for c in inst.C.keys]
 
-    def _pop(self, x):
-        counts = self.counts
-        mul = self.mul
-        for c in self.ckeys:
-            key = mul(x, c)
-            m = counts[key] - 1
-            if m == 0:
-                del counts[key]
-                self.prod -= 1
-            else:
-                counts[key] = m
-        self.size -= 1
-
-    def _can_reduce_by_more_than(self, i: int, threshold: int) -> bool:
-        """Can extending with elements of cands[i:] lower the objective by > threshold?
-
-        For each c the reduction is at most the number of pool elements p
-        with p*c already in XC, so a single c with count <= threshold
-        settles the question. A negative threshold is always exceeded
-        (the empty extension reduces by zero).
-        """
-        if threshold < 0:
-            return True
-        counts = self.counts
-        mul = self.mul
-        cands = self.cands
-        stop = len(cands)
-        for c in self.ckeys:
-            cnt = 0
-            for idx in range(i, stop):
-                if mul(cands[idx], c) in counts:
-                    cnt += 1
-                    if cnt > threshold:
-                        break
-            else:
-                return False
-        return True
+        # a row's bits are distinct, as c -> x*c is injective, so sum is OR
+        self.root = sum(row(self.id_key))
+        per_c = [row(x) for x in self.cands]
+        self.rows = [sum(r) for r in per_c]
+        # suffix[i][k]: the k-th c's products of cands[i:]
+        acc = [0] * len(inst.C)
+        self.suffix = [acc]
+        for r in reversed(per_c):
+            acc = [a | b for a, b in zip(acc, r)]
+            self.suffix.append(acc)
+        self.suffix.reverse()
 
     def greedy_upper(self) -> int:
         """Objective of a greedily grown set; a deterministic incumbent."""
-        added = []
-        best_obj = self.prod - self.size if self.size >= self.n else None
+        mask, size = self.root, 1
+        objs = [mask.bit_count() - 1] if self.n == 1 else []
         limit = min(len(self.cands) + 1, max(self.n, 2) + 12)
-        pool = list(range(len(self.cands)))
-        while self.size < limit and pool:
-            best_idx = None
-            best_marg = None
-            for pos, idx in enumerate(pool):
-                x = self.cands[idx]
-                marg = sum(1 for c in self.ckeys if self.mul(x, c) not in self.counts)
-                if best_marg is None or marg < best_marg:
-                    best_marg, best_idx = marg, pos
-            idx = pool.pop(best_idx)
-            x = self.cands[idx]
-            self._push(x)
-            added.append(x)
-            if self.size >= self.n:
-                obj = self.prod - self.size
-                if best_obj is None or obj < best_obj:
-                    best_obj = obj
-        for x in reversed(added):
-            self._pop(x)
-        return best_obj
+        pool = list(self.rows)
+        while size < limit:
+            # the first candidate adding the fewest new products
+            pos = min(range(len(pool)), key=lambda p: (pool[p] & ~mask).bit_count())
+            mask |= pool.pop(pos)
+            size += 1
+            if size >= self.n:
+                objs.append(mask.bit_count() - size)
+        return min(objs)
 
-    def best_value(self, global_lower: int) -> int:
-        self.best = self.greedy_upper()
-        if self.best <= global_lower:
-            return self.best
+    def run(self, global_lower: int, fragment_limit: int) -> tuple[int, list, list]:
+        """The value, its minimum-size minimizers and its first minimizers in preorder.
 
-        cands = self.cands
+        Once the value is certified and the fragment sample is full, only
+        smaller atoms can still change the outputs, so a node at least as
+        large as the current atoms is not expanded.
+        """
+        cands, rows, suffix, n = self.cands, self.rows, self.suffix, self.n
         total = len(cands)
+        best = self.greedy_upper()
+        atoms: list[tuple] = []
+        fragments: list[tuple] = []
+        chosen = [self.id_key]
 
-        def node(i: int) -> None:
+        def node(i: int, mask: int, size: int) -> None:
+            nonlocal best, atoms, fragments
             remaining = total - i
-            if self.size + remaining < self.n:
+            if size + remaining < n:
                 return
-            obj = self.prod - self.size
-            if self.size >= self.n and obj < self.best:
-                self.best = obj
-                if obj <= global_lower:
-                    raise _StopSearch
-            if obj - remaining >= self.best:
+            obj = mask.bit_count() - size
+            if size >= n and obj <= best:
+                X = tuple(sorted(chosen))
+                if obj < best:
+                    best, atoms, fragments = obj, [], []
+                if not atoms or size < len(atoms[0]):
+                    atoms = [X]
+                elif size == len(atoms[0]):
+                    atoms.append(X)
+                if len(fragments) < fragment_limit:
+                    fragments.append(X)
+            if obj - remaining > best:
                 return
-            if not self._can_reduce_by_more_than(i, obj - self.best):
+            if obj > best and any((mask & s).bit_count() < obj - best for s in suffix[i]):
                 return
-            for j in range(i, total):
-                x = cands[j]
-                self._push(x)
-                node(j + 1)
-                self._pop(x)
-
-        try:
-            node(0)
-        except _StopSearch:
-            pass
-        return self.best
-
-    def minimizers_of_size(self, value: int, s: int) -> list[tuple]:
-        found: list[tuple] = []
-        cands = self.cands
-        total = len(cands)
-
-        def node(i: int) -> None:
-            if self.size == s:
-                if self.prod - s == value:
-                    found.append(tuple(sorted(self.stack + [self.id_key])))
-                return
-            if self.size + (total - i) < s:
-                return
-            if self.prod - s > value:
-                return
-            obj = self.prod - self.size
-            if obj > value and not self._can_reduce_by_more_than(i, obj - value - 1):
+            if (best == global_lower and len(fragments) >= fragment_limit
+                    and atoms and size >= len(atoms[0])):
                 return
             for j in range(i, total):
-                x = cands[j]
-                self.stack.append(x)
-                self._push(x)
-                node(j + 1)
-                self._pop(x)
-                self.stack.pop()
+                chosen.append(cands[j])
+                node(j + 1, mask | rows[j], size + 1)
+                chosen.pop()
 
-        node(0)
-        return found
-
-    def minimizers(self, value: int, limit: int) -> list[tuple]:
-        out: list[tuple] = []
-        cands = self.cands
-        total = len(cands)
-
-        def node(i: int) -> None:
-            remaining = total - i
-            if self.size + remaining < self.n:
-                return
-            obj = self.prod - self.size
-            if obj - remaining > value:
-                return
-            if obj > value and not self._can_reduce_by_more_than(i, obj - value - 1):
-                return
-            if self.size >= self.n and obj == value:
-                out.append(tuple(sorted(self.stack + [self.id_key])))
-                if len(out) >= limit:
-                    raise _StopSearch
-            for j in range(i, total):
-                x = cands[j]
-                self.stack.append(x)
-                self._push(x)
-                node(j + 1)
-                self._pop(x)
-                self.stack.pop()
-
-        try:
-            node(0)
-        except _StopSearch:
-            pass
-        return out
+        node(0, self.root, 1)
+        return best, atoms, fragments
 
 
 def kappa_restricted(inst: IsoInstance, fragment_limit: int = FRAGMENT_SAMPLE_LIMIT) -> IsoResult:
-    """Exact restricted minimum plus atoms and a bounded fragment sample."""
+    """Exact restricted minimum plus atoms and a bounded fragment sample.
+
+    The fragments are the first fragment_limit minimizers in search order;
+    windows above ENUM_WINDOW_CAP get none.
+    """
     if len(inst.window) > BNB_WINDOW_CAP:
         raise ResourceLimitError(
             f"window of size {len(inst.window)} exceeds the search cap {BNB_WINDOW_CAP}"
         )
-    backend = inst.backend
+    if len(inst.window) > ENUM_WINDOW_CAP:
+        fragment_limit = 0
     global_lower = len(inst.C) - 1
-    value = _Search(inst).best_value(global_lower)
-
-    atoms_keys: list[tuple] = []
-    for s in range(inst.n, len(inst.window) + 1):
-        atoms_keys = _Search(inst).minimizers_of_size(value, s)
-        if atoms_keys:
-            break
-    atoms = tuple(FiniteSubset._from_keys(backend, ks) for ks in sorted(atoms_keys))
-
-    fragments: tuple[FiniteSubset, ...] = ()
-    if fragment_limit > 0 and len(inst.window) <= ENUM_WINDOW_CAP:
-        frag_keys = _Search(inst).minimizers(value, fragment_limit)
-        fragments = tuple(FiniteSubset._from_keys(backend, ks) for ks in frag_keys)
-
+    value, atom_keys, frag_keys = _Search(inst).run(global_lower, fragment_limit)
+    backend = inst.backend
+    atoms = tuple(FiniteSubset._from_keys(backend, ks) for ks in sorted(atom_keys))
+    fragments = tuple(FiniteSubset._from_keys(backend, ks) for ks in frag_keys)
     certificate = CERTIFIED_EXACT if value == global_lower else UPPER_BOUND_ONLY
     return IsoResult(value, atoms, fragments, certificate, inst)
 
 
-def enumerate_fragments(inst: IsoInstance, max_count: int, result: IsoResult | None = None) -> list[FiniteSubset]:
+def enumerate_fragments(inst: IsoInstance, max_count: int) -> list[FiniteSubset]:
     """Up to max_count sets F in the window with |F| >= n attaining kappa_hat."""
     if max_count <= 0:
         return []
@@ -291,10 +184,7 @@ def enumerate_fragments(inst: IsoInstance, max_count: int, result: IsoResult | N
         raise ResourceLimitError(
             f"window of size {len(inst.window)} exceeds the enumeration cap {ENUM_WINDOW_CAP}"
         )
-    if result is None or result.instance != inst:
-        result = kappa_restricted(inst, fragment_limit=0)
-    keys = _Search(inst).minimizers(result.kappa_hat, max_count)
-    return [FiniteSubset._from_keys(inst.backend, ks) for ks in keys]
+    return list(kappa_restricted(inst, max_count).fragments_sample)
 
 
 def stability_scan(C: FiniteSubset, n: int, radii) -> IsoResult:

@@ -50,6 +50,7 @@ from .setops import (
 GG_GUARD = 1e-9
 UNIQUE_PRODUCT_SQUARE_THRESHOLD = 216  # 6^3
 EQUALITY_PAIR_CAP = 500_000
+ISO_C_MAX_SIZE = 6  # largest C an atom-law campaign draws
 
 
 def _binom2(x: int) -> int:
@@ -584,7 +585,9 @@ def _sample_iso_instance(draw, params: dict) -> dict | str:
     window = draw.backend.ball(draw.iso_radius)
     if params["n"] > len(window):
         return "window smaller than n"
-    return {"C": draw.subset(max_size=6), "window": window}
+    if draw.lo > ISO_C_MAX_SIZE:
+        return f"sizes lower bound above the |C| cap {ISO_C_MAX_SIZE}"
+    return {"C": draw.subset(max_size=ISO_C_MAX_SIZE), "window": window}
 
 
 def _atom_law(law: str, status: str = THEOREM) -> Law:

@@ -305,3 +305,27 @@ def test_report_counts_a_campaign_run_twice_into_one_store_once(tmp_path, capsys
     code, out, _ = run_cli(capsys, "report", "--run", str(store), "--format", "json")
     assert code == 0
     assert json.loads(out)["holds"] == 3
+
+
+def test_explore_config_from_the_environment(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 1}))
+    monkeypatch.setenv("SUMSETLAB_CONFIG", str(config))
+    store = tmp_path / "st.jsonl"
+    code, _, err = run_cli(capsys, "explore", "--out", str(store))
+    assert code == 0, err
+    assert len(store.read_text().splitlines()) == 2
+
+
+def test_report_another_schema_version_is_a_parse_error(tmp_path, capsys):
+    store = tmp_path / "st.jsonl"
+    store.write_text(json.dumps({
+        "schema_version": 99, "campaign": "x", "backend": "zd:1",
+        "law": "kempermann", "index": 0, "sub": 0,
+        "report": {"law": "kempermann", "verdict": "holds", "slack": 0,
+                   "witness": {}, "detail": ""},
+    }) + "\n")
+    code, out, err = run_cli(capsys, "report", "--run", str(store))
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err and "schema_version 99" in err and "line 1" in err

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sumsetlab.errors import ResourceLimitError, UsageError
+from sumsetlab.errors import ParseError, ResourceLimitError, UsageError
 from sumsetlab.explorer import (
     Campaign,
     extremal_pairs,
@@ -281,6 +281,18 @@ def test_hunt_atom_conjecture_caps_before_enumerating(monkeypatch):
         hunt("atom_conjecture", {"backend": "klein"})
 
 
+def test_hunt_3k4_caps_before_enumerating(monkeypatch):
+    from sumsetlab import explorer
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("the hunt checked a set before checking its cap")
+
+    monkeypatch.setattr(explorer, "check_3k4", no_check)
+    # zd:2's radius-3 ball has 25 elements: C(25, 8) = 1,081,575 sets A
+    with pytest.raises(ResourceLimitError):
+        hunt("3k4", {"backend": "zd:2", "radius": 3, "sizes": [8]})
+
+
 def test_hunt_3k4_z():
     findings = hunt("3k4", {"backend": "zd:1", "span": 8, "sizes": [4]})
     assert findings == []
@@ -294,3 +306,19 @@ def test_hunt_freiman_union_family():
 def test_hunt_unknown_conjecture():
     with pytest.raises(UsageError):
         hunt("p_equals_np", {})
+
+
+def test_atom_law_sizes_above_the_c_cap_are_skipped():
+    campaign = Campaign(backends=("zd:1",), laws=("atom_left",), sizes=(8, 12), radius=5, iso_radius=2, budget=1)
+    run = run_campaign(campaign)
+    [record] = run.records
+    assert record["report"]["verdict"] == "skipped"
+    assert "cap 6" in record["report"]["detail"]
+
+
+def test_read_records_rejects_another_schema_version(tmp_path):
+    run = run_campaign(small_campaign())
+    path = tmp_path / "records.jsonl"
+    write_records(path, run.records[:2] + [dict(run.records[2], schema_version=99)])
+    with pytest.raises(ParseError, match="schema_version 99 .* at line 3"):
+        read_records(path)

@@ -8,6 +8,7 @@ import pytest
 from sumsetlab.errors import ResourceLimitError, UsageError
 from sumsetlab.isoperimetry import (
     CERTIFIED_EXACT,
+    FRAGMENT_SAMPLE_LIMIT,
     HEURISTIC_STABLE,
     UPPER_BOUND_ONLY,
     IsoInstance,
@@ -122,6 +123,28 @@ def brute_force_constrained(C, n, window):
     return best, minimizers, atoms
 
 
+def preorder_minimizers(C, n, window, minimizers):
+    """The minimizers in combination-tree preorder over the window's key order.
+
+    The tree's root is the identity alone; a node's children extend it by
+    one later window element each, and a node comes before its subtree.
+    """
+    id_key = C.backend.identity_key
+    rest = [k for k in window.keys if k != id_key]
+    wanted = set(minimizers)
+    out = []
+
+    def walk(i, chosen):
+        X = tuple(sorted(chosen))
+        if len(X) >= n and X in wanted:
+            out.append(X)
+        for j in range(i, len(rest)):
+            walk(j + 1, chosen + [rest[j]])
+
+    walk(0, [id_key])
+    return out
+
+
 def test_kappa_matches_brute_force_random_windows(any_backend):
     # arbitrary windows, not just balls: the identity plus random elements;
     # the restricted problem constrains X to contain the identity, so the
@@ -137,8 +160,27 @@ def test_kappa_matches_brute_force_random_windows(any_backend):
         value, minimizers, atoms = brute_force_constrained(C, n, window)
         assert result.kappa_hat == value
         assert [U.keys for U in result.atoms] == atoms
+        # the fragment sample is the first minimizers in search order
+        preorder = preorder_minimizers(C, n, window, minimizers)
+        assert [F.keys for F in result.fragments_sample] == preorder[:FRAGMENT_SAMPLE_LIMIT]
         frags = enumerate_fragments(IsoInstance(C, n, window), 10_000)
         assert sorted(F.keys for F in frags) == sorted(minimizers)
+
+
+def test_certified_n1_ties_keep_search_order(z1):
+    # every interval through 0 ties at |C| - 1: the certified search may
+    # stop expanding once the atom and the fragment sample are settled
+    C = zset(z1, [0, 1, 2])
+    window = zwindow(z1, -6, 6)
+    result = kappa_restricted(IsoInstance(C, 1, window))
+    value, minimizers, atoms = brute_force_constrained(C, 1, window)
+    assert result.kappa_hat == value == 2
+    assert result.certificate == CERTIFIED_EXACT
+    assert [U.keys for U in result.atoms] == atoms == [((0,),)]
+    preorder = preorder_minimizers(C, 1, window, minimizers)
+    assert len(preorder) == 49
+    assert [F.keys for F in result.fragments_sample] == preorder[:FRAGMENT_SAMPLE_LIMIT]
+    assert [F.keys for F in enumerate_fragments(IsoInstance(C, 1, window), 100)] == preorder
 
 
 def test_every_atom_attains_value_and_size(z1):
