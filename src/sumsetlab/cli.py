@@ -2,8 +2,9 @@
 
 Exit codes: 0 for clean runs (conjecture findings included), 1 when a
 theorem-status law is violated, 2 for usage, parse and resource errors.
-Every flag can be defaulted through an environment variable with the
-SUMSETLAB_ prefix (SUMSETLAB_GROUP, SUMSETLAB_FORMAT, ...).
+These flags take a default from an environment variable with the
+SUMSETLAB_ prefix: --group, --format, --out, --n, --k, --d, --m, --radius,
+--seed, --jobs and --config (SUMSETLAB_GROUP, SUMSETLAB_FORMAT, ...).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ResourceLimitError, UsageError
-from .groups import GroupBackend, LatticeBackend, backend_from_spec
+from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, backend_from_spec
 from .isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4, klein_union_set
 from .reports import (
@@ -34,11 +34,7 @@ from .reports import (
     VERDICTS,
     subset_payload,
 )
-from .setops import (
-    FiniteSubset,
-    detect_progression,
-    product_size,
-)
+from .setops import FiniteSubset, cover_by_two_progressions, product_size
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
@@ -78,6 +74,9 @@ class Campaign:
         for name in ("n_values", "k_values", "d_values", "m_values"):
             if not getattr(self, name):
                 raise UsageError(f"{name} must not be empty")
+        for name in ("radius", "iso_radius"):
+            if not 0 <= getattr(self, name) <= DEFAULT_BALL_CAP:
+                raise UsageError(f"{name} must be in 0..{DEFAULT_BALL_CAP}, got {getattr(self, name)}")
 
     def canonical(self) -> dict:
         # jobs is an execution parameter, not part of the campaign identity
@@ -177,6 +176,13 @@ class _Draw:
     iso_radius: int
     lo: int
     hi: int
+
+    def too_small(self, min_size: int) -> str | None:
+        """Why no subset of at least `min_size` elements can be drawn, or None."""
+        ball = len(self.backend.ball_keys(self.radius))
+        if ball >= min_size:
+            return None
+        return f"minimum set size {min_size} exceeds the {ball}-element ball of radius {self.radius}"
 
     def subset(self, min_size: int = 1, max_size: int | None = None) -> FiniteSubset:
         lo = max(self.lo, min_size)
@@ -342,18 +348,11 @@ def extremal_pairs(window: FiniteSubset, size_a: int, size_b: int):
 
 # -- conjecture hunts --------------------------------------------------------
 
-CONJECTURE_IDS = ("atom_conjecture", "3k4", "freiman_union")
-
-
 def hunt(conjecture: str, grid: dict) -> list[LawReport]:
     """Scan a parameter grid, emitting finding records only."""
-    if conjecture == "atom_conjecture":
-        return _hunt_atom_conjecture(grid)
-    if conjecture == "3k4":
-        return _hunt_3k4(grid)
-    if conjecture == "freiman_union":
-        return _hunt_freiman_union(grid)
-    raise UsageError(f"unknown conjecture id {conjecture!r}")
+    if conjecture not in HUNTS:
+        raise UsageError(f"unknown conjecture id {conjecture!r}")
+    return HUNTS[conjecture](grid)
 
 
 def _universe_keys(backend: GroupBackend, grid: dict) -> list[tuple]:
@@ -425,7 +424,9 @@ def _hunt_freiman_union(grid: dict) -> list[LawReport]:
     threshold 3|A^2| < 10|A| - 15, so the hypothesis is never met and the
     expected outcome is an empty list. A bipartition failure under a met
     hypothesis is reported as an unconfirmed finding since overlapping
-    covers are not enumerated.
+    covers are not enumerated. The split test is the two-progression
+    cover within |A|, whose parts are then exact and disjoint; it raises
+    ResourceLimitError above TWO_COVER_MAX_SIZE.
     """
     findings: list[LawReport] = []
     for m in grid.get("m_values", (1, 2, 3, 4, 5)):
@@ -433,7 +434,7 @@ def _hunt_freiman_union(grid: dict) -> list[LawReport]:
         sq = product_size(A, A)
         if not 3 * sq < 10 * len(A) - 15:
             continue
-        if not _splits_into_two_progressions(A):
+        if cover_by_two_progressions(A, len(A)) is None:
             findings.append(
                 LawReport(
                     "freiman_union",
@@ -446,16 +447,9 @@ def _hunt_freiman_union(grid: dict) -> list[LawReport]:
     return findings
 
 
-def _splits_into_two_progressions(A: FiniteSubset) -> bool:
-    keys = A.keys
-    first, rest = keys[0], keys[1:]
-    for mask in range(1 << len(rest)):
-        left = [first] + [k for i, k in enumerate(rest) if mask >> i & 1]
-        right = [k for i, k in enumerate(rest) if not mask >> i & 1]
-        if not right:
-            continue
-        S = FiniteSubset._from_keys(A.backend, tuple(left))
-        T = FiniteSubset._from_keys(A.backend, tuple(right))
-        if detect_progression(S) is not None and detect_progression(T) is not None:
-            return True
-    return detect_progression(A) is not None
+HUNTS = {
+    "atom_conjecture": _hunt_atom_conjecture,
+    "3k4": _hunt_3k4,
+    "freiman_union": _hunt_freiman_union,
+}
+CONJECTURE_IDS = tuple(HUNTS)

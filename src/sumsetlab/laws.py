@@ -164,18 +164,19 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     for size in range(lo, hi + 1):
         for combo in itertools.combinations(elems, size):
             sets.append(FiniteSubset._from_keys(backend, combo))
+    ratios = [_translate_ratios(S) for S in sets]
     mul = backend.mul_key
     equality_pairs = 0
     violations = 0
     first_bad = None
-    for A in sets:
+    for i, A in enumerate(sets):
         akeys = A.keys
-        for B in sets:
+        for j, B in enumerate(sets):
             prod = {mul(a, b) for a in akeys for b in B.keys}
             if len(prod) != len(A) + len(B) - 1:
                 continue
             equality_pairs += 1
-            if not _is_common_ratio_pair(A, B):
+            if ratios[i][0].isdisjoint(ratios[j][1]):
                 violations += 1
                 if first_bad is None:
                     first_bad = {"A": subset_payload(A), "B": subset_payload(B)}
@@ -189,18 +190,17 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     return LawReport("equality", verdict, violations, witness)
 
 
-def _is_common_ratio_pair(A: FiniteSubset, B: FiniteSubset) -> bool:
-    """True when x^-1 A and B y^-1 are progressions with a common ratio."""
-    ratios_a: set = set()
-    for x in A.elements():
-        ratios_a.update(r.key for r in progression_ratios(A.translate_left(x.inverse())))
-    if not ratios_a:
-        return False
-    for y in B.elements():
-        for r in progression_ratios(B.translate_right(y.inverse())):
-            if r.key in ratios_a:
-                return True
-    return False
+def _translate_ratios(S: FiniteSubset) -> tuple[frozenset, frozenset]:
+    """Ratio keys of the progressions x^-1 S and S x^-1, for x in S.
+
+    Both sets are the same for every x in S, so x is the first element. A
+    pair (A, B) is a translated common-ratio pair exactly when A's left set
+    meets B's right set.
+    """
+    x_inv = S.backend.element(S.keys[0]).inverse()
+    left, right = S.translate_left(x_inv), S.translate_right(x_inv)
+    return (frozenset(r.key for r in progression_ratios(left)),
+            frozenset(r.key for r in progression_ratios(right)))
 
 
 # -- progression covering laws -------------------------------------------
@@ -573,6 +573,8 @@ def _sample_larger_first(draw, params: dict) -> dict:
 
 def _sample_equality(draw, params: dict) -> dict | str:
     """The ball of radius at most 2, with the widest size range under the pair cap."""
+    if draw.hi < 2:
+        return f"size range [{draw.lo}, {draw.hi}] is below the minimum set size 2"
     window = draw.backend.ball(min(draw.radius, 2))
     for max_size in range(min(draw.hi, 3), 1, -1):
         total = sum(math.comb(len(window), s) for s in range(2, max_size + 1))
@@ -614,7 +616,8 @@ LAWS: dict[str, Law] = {
                      skip=_lattice_only, sample=_sample_larger_first),
     "gardner_gronchi": Law(lambda A, B: [check_gardner_gronchi(A, B)], ("A", "B"),
                            skip=_lattice_only, sample=_sample_larger_first),
-    "3k4": Law(lambda A: [check_3k4(A)], ("A",), sample=lambda draw, params: {"A": draw.subset(4)}),
+    "3k4": Law(lambda A: [check_3k4(A)], ("A",),
+               sample=lambda draw, params: draw.too_small(4) or {"A": draw.subset(4)}),
     "atom_left": _atom_law("atom_left"),
     "atom_right": _atom_law("atom_right"),
     "atom_nonunique": _atom_law("atom_nonunique"),
@@ -626,7 +629,7 @@ LAWS: dict[str, Law] = {
     "main_theorem": Law(
         lambda A, B, k, use_general_bound=False: [check_main_theorem(A, B, k, use_general_bound)],
         ("A", "B"), ("k", "use_general_bound"),
-        sample=lambda draw, params: {"A": draw.subset(2), "B": draw.subset()},
+        sample=lambda draw, params: draw.too_small(2) or {"A": draw.subset(2), "B": draw.subset()},
     ),
     "corollary_ab": Law(lambda A: [check_corollary_AB(A)], ("A",)),
     "klein_grid": Law(lambda m: [example_klein_grid(m)[2]], params=("m",), skip=_klein_only),

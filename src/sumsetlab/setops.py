@@ -266,6 +266,21 @@ def _progression_through(A: FiniteSubset, r_key: tuple) -> Optional[ProgressionD
     return ProgressionDescriptor(backend.element(base_key), backend.element(r_key), hi - lo + 1)
 
 
+def _exact_ratio_hits(A: FiniteSubset) -> Iterator[ProgressionDescriptor]:
+    """Descriptors expanding exactly to A, one per ratio a0^-1 y (y != a0).
+
+    A neighbour y of a0 in an exact r-progression has a0^-1 y = r or r^-1,
+    and A is an r^-1-progression whenever it is an r-progression, so these
+    ratios and their inverses are all the ratios of A.
+    """
+    backend = A.backend
+    a0_inv = backend.inv_key(A.keys[0])
+    for y in A.keys[1:]:
+        desc = _progression_through(A, backend.mul_key(a0_inv, y))
+        if desc is not None and desc.length == len(A):
+            yield desc
+
+
 def detect_progression(A: FiniteSubset) -> Optional[ProgressionDescriptor]:
     """A descriptor whose expansion equals A exactly, or None."""
     if len(A) == 0:
@@ -274,17 +289,7 @@ def detect_progression(A: FiniteSubset) -> Optional[ProgressionDescriptor]:
     if len(A) == 1:
         # length-1 convention: the ratio is unused, pick the first generator
         return ProgressionDescriptor(backend.element(A.keys[0]), backend.generators[0], 1)
-    mul, inv = backend.mul_key, backend.inv_key
-    seen = set()
-    for x, y in itertools.permutations(A.keys, 2):
-        r = mul(inv(x), y)
-        if r in seen:
-            continue
-        seen.add(r)
-        desc = _progression_through(A, r)
-        if desc is not None and desc.length == len(A):
-            return desc
-    return None
+    return next(_exact_ratio_hits(A), None)
 
 
 def progression_ratios(A: FiniteSubset) -> tuple[GroupElement, ...]:
@@ -292,17 +297,10 @@ def progression_ratios(A: FiniteSubset) -> tuple[GroupElement, ...]:
     if len(A) < 2:
         return ()
     backend = A.backend
-    mul, inv = backend.mul_key, backend.inv_key
     good = set()
-    seen = set()
-    for x, y in itertools.permutations(A.keys, 2):
-        r = mul(inv(x), y)
-        if r in seen:
-            continue
-        seen.add(r)
-        desc = _progression_through(A, r)
-        if desc is not None and desc.length == len(A):
-            good.add(r)
+    for desc in _exact_ratio_hits(A):
+        good.add(desc.ratio.key)
+        good.add(backend.inv_key(desc.ratio.key))
     return tuple(backend.element(k) for k in sorted(good))
 
 

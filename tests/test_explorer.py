@@ -50,6 +50,9 @@ def test_campaign_validation():
     {"sizes": (0, 3)},
     {"jobs": 0},
     {"jobs": -3},
+    {"radius": 13},
+    {"radius": -1},
+    {"iso_radius": 13},
 ])
 def test_campaign_rejects_bad_config(bad):
     with pytest.raises(UsageError):
@@ -186,6 +189,18 @@ def test_equality_campaign_clamps_large_windows():
     assert run.clean
     assert run.records[0]["report"]["verdict"] == "holds"
     assert run.records[0]["report"]["witness"]["sizes"] == [2, 2]
+
+
+@pytest.mark.parametrize("law, config, detail", [
+    ("3k4", {"radius": 1}, "minimum set size 4 exceeds the 3-element ball of radius 1"),
+    ("main_theorem", {"radius": 0}, "minimum set size 2 exceeds the 1-element ball of radius 0"),
+    ("equality", {"sizes": (1, 1)}, "size range [1, 1] is below the minimum set size 2"),
+    ("equality", {"radius": 0}, "size range [1, 1] is below the minimum set size 2"),
+])
+def test_campaign_skips_sets_too_large_for_its_ball_or_sizes(law, config, detail):
+    run = run_campaign(Campaign(backends=("zd:1",), laws=(law,), budget=2, **config))
+    assert run.clean
+    assert [(r["report"]["verdict"], r["report"]["detail"]) for r in run.records] == [("skipped", detail)] * 2
 
 
 def test_atom_law_campaign_runs_clean():

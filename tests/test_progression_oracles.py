@@ -1,0 +1,154 @@
+"""Exact-progression ratio scans pinned to the all-pairs and all-translates oracles."""
+
+import itertools
+
+from hypothesis import example, given, settings, strategies as st
+
+from sumsetlab.groups import backend_from_spec
+from sumsetlab.laws import _translate_ratios, check_equality_characterization
+from sumsetlab.setops import (
+    FiniteSubset,
+    _progression_through,
+    detect_progression,
+    progression_ratios,
+)
+
+BACKEND_SPECS = ("zd:1", "zd:2", "free:2", "klein", "heis")
+ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+BACKENDS = {spec: backend_from_spec(spec) for spec in BACKEND_SPECS}
+BALLS = {spec: backend.ball_keys(2) for spec, backend in BACKENDS.items()}
+
+
+# -- oracles -----------------------------------------------------------------
+
+
+def oracle_exact_hits(A):
+    """Descriptors expanding to A, over every ratio x^-1 y in permutation order."""
+    backend = A.backend
+    seen = set()
+    for x, y in itertools.permutations(A.keys, 2):
+        r = backend.mul_key(backend.inv_key(x), y)
+        if r in seen:
+            continue
+        seen.add(r)
+        desc = _progression_through(A, r)
+        if desc is not None and desc.length == len(A):
+            yield desc
+
+
+def oracle_detect(A):
+    if len(A) == 1:
+        backend = A.backend
+        return (A.keys[0], backend.generators[0].key, 1)
+    desc = next(oracle_exact_hits(A), None)
+    return None if desc is None else (desc.base.key, desc.ratio.key, desc.length)
+
+
+def oracle_ratios(A):
+    if len(A) < 2:
+        return ()
+    return tuple(sorted({desc.ratio.key for desc in oracle_exact_hits(A)}))
+
+
+def oracle_common_ratio_pair(A, B):
+    """True when some x^-1 A and some B y^-1 are progressions with a common ratio."""
+    ratios_a = set()
+    for x in A.elements():
+        ratios_a.update(oracle_ratios(A.translate_left(x.inverse())))
+    return any(ratios_a.intersection(oracle_ratios(B.translate_right(y.inverse()))) for y in B.elements())
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+@st.composite
+def small_sets(draw, min_size=1, max_size=5):
+    """A subset of the radius-2 ball, or a progression, possibly with one extra point."""
+    spec = draw(st.sampled_from(BACKEND_SPECS))
+    backend, ball = BACKENDS[spec], BALLS[spec]
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(ball), min_size=min_size, max_size=max_size, unique=True))
+        return FiniteSubset.from_keys(backend, keys)
+    gen = draw(st.sampled_from(backend.generator_keys()))
+    ratio = backend.pow_key(gen, draw(st.sampled_from((1, 2, 3, -1, -2))))
+    if draw(st.booleans()):
+        ratio = backend.mul_key(ratio, draw(st.sampled_from(ball)))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(ball))
+    else:
+        # a progression through the identity, which is the first key on free:k
+        base = backend.pow_key(ratio, -draw(st.integers(0, 2)))
+    keys, cur = [], base
+    for _ in range(draw(st.integers(min_size, max_size))):
+        keys.append(cur)
+        cur = backend.mul_key(cur, ratio)
+    if draw(st.booleans()):
+        keys.append(draw(st.sampled_from(ball)))
+    S = FiniteSubset.from_keys(backend, keys)
+    return S if len(S) >= min_size else FiniteSubset.from_keys(backend, ball[:min_size])
+
+
+@st.composite
+def set_pairs(draw):
+    A = draw(small_sets(min_size=2, max_size=4))
+    ball = BALLS[A.backend.spec]
+    if draw(st.booleans()):
+        # a translate of A on either side, so common-ratio pairs are frequent
+        g, mul = draw(st.sampled_from(ball)), A.backend.mul_key
+        left = draw(st.booleans())
+        B = FiniteSubset.from_keys(A.backend, (mul(g, a) if left else mul(a, g) for a in A.keys))
+    else:
+        keys = draw(st.lists(st.sampled_from(ball), min_size=2, max_size=4, unique=True))
+        B = FiniteSubset.from_keys(A.backend, keys)
+    return A, B
+
+
+# -- properties -----------------------------------------------------------------
+
+
+# on free:k the identity is the first key, so these sets start in the middle
+# of their progression: a0 has two neighbours, and the first one decides
+MIDDLE_START = (
+    FiniteSubset.from_keys(BACKENDS["free:2"], [(-1,), (), (1,)]),
+    FiniteSubset.from_keys(BACKENDS["free:2"], [(-2, -1), (), (1, 2), (1, 2, 1, 2)]),
+)
+
+
+@ORACLE_SETTINGS
+@given(small_sets())
+@example(MIDDLE_START[0])
+@example(MIDDLE_START[1])
+def test_detect_progression_matches_permutation_scan(A):
+    desc = detect_progression(A)
+    got = None if desc is None else (desc.base.key, desc.ratio.key, desc.length)
+    assert got == oracle_detect(A)
+
+
+@ORACLE_SETTINGS
+@given(small_sets())
+def test_progression_ratios_match_permutation_scan(A):
+    assert tuple(r.key for r in progression_ratios(A)) == oracle_ratios(A)
+
+
+@ORACLE_SETTINGS
+@given(set_pairs())
+def test_first_element_ratios_match_all_translates(pair):
+    A, B = pair
+    left, _ = _translate_ratios(A)
+    _, right = _translate_ratios(B)
+    assert (not left.isdisjoint(right)) == oracle_common_ratio_pair(A, B)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(small_sets(min_size=2, max_size=6))
+def test_equality_checker_matches_all_translates_oracle(window):
+    report = check_equality_characterization(window, (2, 3))
+    mul = window.backend.mul_key
+    sets = [FiniteSubset._from_keys(window.backend, combo)
+            for size in (2, 3) for combo in itertools.combinations(window.keys, size)]
+    pairs = [(A, B) for A in sets for B in sets
+             if len({mul(a, b) for a in A.keys for b in B.keys}) == len(A) + len(B) - 1]
+    bad = [(A, B) for A, B in pairs if not oracle_common_ratio_pair(A, B)]
+    assert report.witness["equality_pairs"] == len(pairs)
+    assert report.slack == len(bad)
