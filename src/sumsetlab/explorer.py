@@ -22,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .errors import ParseError, ResourceLimitError, UsageError
+from .errors import DomainError, ParseError, ResourceLimitError, UsageError
 from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, backend_from_spec
 from .isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4, klein_union_set
@@ -34,7 +34,7 @@ from .reports import (
     VERDICTS,
     subset_payload,
 )
-from .setops import FiniteSubset, cover_by_two_progressions, product_size
+from .setops import FiniteSubset, ProductTable, cover_by_two_progressions, product_size
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
@@ -323,27 +323,25 @@ def summarize(records: list[dict]) -> list[dict]:
 
 def extremal_pairs(window: FiniteSubset, size_a: int, size_b: int):
     """All pairs (A, B) inside the window minimizing the deficiency."""
-    backend = window.backend
+    if size_a < 1 or size_b < 1:
+        raise DomainError(f"set sizes ({size_a}, {size_b}) must be at least 1")
     grid = math.comb(len(window), size_a) * math.comb(len(window), size_b)
     if grid > EXTREMAL_PAIR_CAP:
         raise ResourceLimitError(f"{grid} pairs exceed the enumeration cap {EXTREMAL_PAIR_CAP}")
-    combos_a = list(itertools.combinations(window.keys, size_a))
-    combos_b = list(itertools.combinations(window.keys, size_b))
-    mul = backend.mul_key
+    table = ProductTable(window)
+    combos_a = list(itertools.combinations(range(len(window)), size_a))
+    combos_b = list(itertools.combinations(range(len(window)), size_b))
     best = None
-    out: list[tuple[FiniteSubset, FiniteSubset, int]] = []
-    for ka in combos_a:
-        for kb in combos_b:
-            dfc = len({mul(a, b) for a in ka for b in kb}) - size_a - size_b
+    out: list[tuple[tuple, tuple, int]] = []
+    for ia in combos_a:
+        for ib, size_ab in zip(combos_b, table.product_sizes(ia, combos_b)):
+            dfc = size_ab - size_a - size_b
             if best is None or dfc < best:
                 best = dfc
-                out = [(ka, kb, dfc)]
+                out = [(ia, ib, dfc)]
             elif dfc == best:
-                out.append((ka, kb, dfc))
-    return [
-        (FiniteSubset._from_keys(backend, ka), FiniteSubset._from_keys(backend, kb), dfc)
-        for ka, kb, dfc in out
-    ]
+                out.append((ia, ib, dfc))
+    return [(table.subset(ia), table.subset(ib), dfc) for ia, ib, dfc in out]
 
 
 # -- conjecture hunts --------------------------------------------------------
@@ -406,10 +404,14 @@ def _hunt_3k4(grid: dict) -> list[LawReport]:
     total = sum(math.comb(len(universe), size) for size in sizes)
     if total > HUNT_3K4_SET_CAP:
         raise ResourceLimitError(f"{total} sets A exceed the 3k-4 hunt cap {HUNT_3K4_SET_CAP}")
+    table = ProductTable(FiniteSubset._from_keys(backend, tuple(universe)))
     findings: list[LawReport] = []
     for size in sizes:
-        for combo in itertools.combinations(universe, size):
-            report = check_3k4(FiniteSubset._from_keys(backend, combo))
+        for combo in itertools.combinations(range(len(universe)), size):
+            # check_3k4 reports these as hypothesis_not_met, which a hunt drops
+            if table.product_size(combo, combo) > 3 * size - 4:
+                continue
+            report = check_3k4(table.subset(combo))
             if report.verdict in (VERDICT_VIOLATED, VERDICT_FINDING):
                 findings.append(
                     LawReport("3k4", VERDICT_FINDING, report.slack, report.witness, report.detail)

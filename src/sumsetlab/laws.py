@@ -38,6 +38,7 @@ from .reports import (
 )
 from .setops import (
     FiniteSubset,
+    ProductTable,
     cyclic_hull_contains,
     deficiency,
     dimension,
@@ -156,30 +157,27 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     if hi < lo:
         raise UsageError("empty size range")
     elems = window.keys
-    backend = window.backend
     total_sets = sum(math.comb(len(elems), size) for size in range(lo, hi + 1))
     if total_sets ** 2 > EQUALITY_PAIR_CAP:
         raise ResourceLimitError(f"{total_sets ** 2} pairs exceed the enumeration cap")
-    sets = []
-    for size in range(lo, hi + 1):
-        for combo in itertools.combinations(elems, size):
-            sets.append(FiniteSubset._from_keys(backend, combo))
+    table = ProductTable(window)
+    combos = [combo for size in range(lo, hi + 1)
+              for combo in itertools.combinations(range(len(elems)), size)]
+    sets = [table.subset(combo) for combo in combos]
     ratios = [_translate_ratios(S) for S in sets]
-    mul = backend.mul_key
     equality_pairs = 0
     violations = 0
     first_bad = None
-    for i, A in enumerate(sets):
-        akeys = A.keys
-        for j, B in enumerate(sets):
-            prod = {mul(a, b) for a in akeys for b in B.keys}
-            if len(prod) != len(A) + len(B) - 1:
+    for i, combo in enumerate(combos):
+        left = ratios[i][0]
+        for j, size_ab in enumerate(table.product_sizes(combo, combos)):
+            if size_ab != len(combo) + len(combos[j]) - 1:
                 continue
             equality_pairs += 1
-            if ratios[i][0].isdisjoint(ratios[j][1]):
+            if left.isdisjoint(ratios[j][1]):
                 violations += 1
                 if first_bad is None:
-                    first_bad = {"A": subset_payload(A), "B": subset_payload(B)}
+                    first_bad = {"A": subset_payload(sets[i]), "B": subset_payload(sets[j])}
     witness = {
         "window": subset_payload(window),
         "sizes": [lo, hi],

@@ -21,6 +21,7 @@ from .errors import (
 from .groups import GroupBackend, GroupElement, LatticeBackend, divisors
 
 TWO_COVER_MAX_SIZE = 16
+PRODUCT_TABLE_CAP = 1 << 20  # window products a ProductTable numbers
 
 
 class FiniteSubset:
@@ -175,6 +176,63 @@ def product_size(A: FiniteSubset, B: FiniteSubset) -> int:
 def deficiency(A: FiniteSubset, B: FiniteSubset) -> int:
     """|AB| - |A| - |B|; at least -1 on torsion-free backends."""
     return product_size(A, B) - len(A) - len(B)
+
+
+class ProductTable:
+    """The products of a window with itself, numbered once.
+
+    ``rows[i][j]`` is the number of ``w_i w_j`` among the distinct
+    products, so ``1 << rows[i][j]`` is its one-bit mask. The rows keep
+    numbers, not masks: |W|^2 masks of up to |W|^2 bits would not fit
+    in memory on windows with few coinciding products. Subsets of the
+    window are tuples of window indices; a product set is the OR of the
+    masks of its products and its size is a popcount. The table takes
+    |W|^2 ``mul_key`` calls and at most ``PRODUCT_TABLE_CAP`` of them.
+    """
+
+    __slots__ = ("window", "rows")
+
+    def __init__(self, window: FiniteSubset):
+        keys = window.keys
+        if len(keys) ** 2 > PRODUCT_TABLE_CAP:
+            raise ResourceLimitError(
+                f"{len(keys) ** 2} window products exceed the table cap {PRODUCT_TABLE_CAP}"
+            )
+        mul = window.backend.mul_key
+        numbers: dict = {}
+        self.window = window
+        self.rows = [[numbers.setdefault(mul(a, b), len(numbers)) for b in keys] for a in keys]
+
+    def subset(self, indices: tuple) -> FiniteSubset:
+        keys = self.window.keys
+        return FiniteSubset._from_keys(self.window.backend, tuple(keys[i] for i in indices))
+
+    def product_size(self, A: tuple, B: tuple) -> int:
+        """|AB| for one pair of index tuples."""
+        mask = 0
+        for i in A:
+            row = self.rows[i]
+            for j in B:
+                mask |= 1 << row[j]
+        return mask.bit_count()
+
+    def product_sizes(self, A: tuple, Bs: list) -> list[int]:
+        """|AB| for every B in Bs, from the columns of A.
+
+        ``cols[j]`` is the mask of ``A w_j``, the OR over i in A of
+        ``1 << rows[i][j]``; |AB| is the popcount of the OR of ``cols[j]``
+        over j in B.
+        """
+        cols = [0] * len(self.rows)
+        for i in A:
+            cols = [c | 1 << k for c, k in zip(cols, self.rows[i])]
+        sizes = []
+        for B in Bs:
+            mask = 0
+            for j in B:
+                mask |= cols[j]
+            sizes.append(mask.bit_count())
+        return sizes
 
 
 def boundary_set(B: FiniteSubset, g: GroupElement) -> FiniteSubset:

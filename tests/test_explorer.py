@@ -4,8 +4,9 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sumsetlab.errors import ParseError, ResourceLimitError, UsageError
+from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UsageError
 from sumsetlab.explorer import (
     Campaign,
     extremal_pairs,
@@ -17,7 +18,10 @@ from sumsetlab.explorer import (
     write_records,
     _instance_rng,
 )
-from sumsetlab.setops import FiniteSubset, detect_progression
+from sumsetlab.groups import backend_from_spec
+from sumsetlab.setops import FiniteSubset, detect_progression, product_size
+
+BACKEND_SPECS = ("zd:1", "zd:2", "free:2", "klein", "heis")
 
 
 def small_campaign(jobs=1, seed=42, laws=("kempermann", "klein_grid")):
@@ -276,6 +280,33 @@ def test_extremal_pairs_cap(z1):
         extremal_pairs(window, 9, 9)
 
 
+@pytest.mark.parametrize("sizes", [(0, 3), (3, 0), (-1, 2), (2, -1)])
+def test_extremal_pairs_rejects_sizes_below_one(z1, sizes):
+    window = FiniteSubset.from_keys(z1, [(i,) for i in range(6)])
+    with pytest.raises(DomainError):
+        extremal_pairs(window, *sizes)
+
+
+@st.composite
+def extremal_instances(draw):
+    backend = backend_from_spec(draw(st.sampled_from(BACKEND_SPECS)))
+    keys = draw(st.lists(st.sampled_from(backend.ball_keys(2)), min_size=1, max_size=7, unique=True))
+    window = FiniteSubset.from_keys(backend, keys)
+    size_a = draw(st.integers(1, min(3, len(window))))
+    size_b = draw(st.integers(1, min(3, len(window))))
+    return window, size_a, size_b
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(extremal_instances())
+def test_extremal_pairs_match_brute_force(instance):
+    window, size_a, size_b = instance
+    out = extremal_pairs(window, size_a, size_b)
+    best, pairs = brute_extremal(window, size_a, size_b)
+    assert [(A.keys, B.keys) for A, B, _ in out] == pairs
+    assert all(dfc == best >= -1 for _, _, dfc in out)
+
+
 # -- hunts ---------------------------------------------------------------------
 
 
@@ -311,6 +342,32 @@ def test_hunt_3k4_caps_before_enumerating(monkeypatch):
 def test_hunt_3k4_z():
     findings = hunt("3k4", {"backend": "zd:1", "span": 8, "sizes": [4]})
     assert findings == []
+
+
+@pytest.mark.parametrize("grid", [
+    {"backend": "zd:1", "span": 8, "sizes": [3, 4, 5]},
+    {"backend": "klein", "radius": 2, "sizes": [4]},
+])
+def test_hunt_3k4_checks_only_small_squares(monkeypatch, grid):
+    from sumsetlab import explorer
+
+    checked = []
+    check_3k4 = explorer.check_3k4
+
+    def recording_check(A):
+        checked.append(A)
+        return check_3k4(A)
+
+    monkeypatch.setattr(explorer, "check_3k4", recording_check)
+    assert hunt("3k4", grid) == []
+    backend = backend_from_spec(grid["backend"])
+    universe = explorer._universe_keys(backend, grid)
+    expected = [
+        A for size in grid["sizes"]
+        for A in (FiniteSubset._from_keys(backend, c) for c in itertools.combinations(universe, size))
+        if product_size(A, A) <= 3 * len(A) - 4
+    ]
+    assert checked == expected and expected
 
 
 def test_hunt_freiman_union_family():

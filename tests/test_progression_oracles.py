@@ -1,11 +1,14 @@
-"""Exact-progression ratio scans pinned to the all-pairs and all-translates oracles."""
+"""Exact-progression ratio scans and the equality checker pinned to naive oracles."""
 
 import itertools
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sumsetlab import laws
 from sumsetlab.groups import backend_from_spec
 from sumsetlab.laws import _translate_ratios, check_equality_characterization
+from sumsetlab.reports import subset_payload
 from sumsetlab.setops import (
     FiniteSubset,
     _progression_through,
@@ -152,3 +155,22 @@ def test_equality_checker_matches_all_translates_oracle(window):
     bad = [(A, B) for A, B in pairs if not oracle_common_ratio_pair(A, B)]
     assert report.witness["equality_pairs"] == len(pairs)
     assert report.slack == len(bad)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_sets(min_size=2, max_size=6), st.sampled_from(((2, 2), (2, 3), (3, 4), (1, 3))))
+def test_equality_first_violation_is_first_tight_pair_of_naive_loop(window, sizes):
+    """With no common ratios, every tight pair is a violation, so the witness pins the order."""
+    lo, hi = max(sizes[0], 2), sizes[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_translate_ratios", lambda S: (frozenset(), frozenset()))
+        report = check_equality_characterization(window, sizes)
+    mul = window.backend.mul_key
+    sets = [FiniteSubset._from_keys(window.backend, combo)
+            for size in range(lo, hi + 1) for combo in itertools.combinations(window.keys, size)]
+    tight = [(A, B) for A in sets for B in sets
+             if len({mul(a, b) for a in A.keys for b in B.keys}) == len(A) + len(B) - 1]
+    assert report.witness["equality_pairs"] == report.slack == len(tight)
+    first = None if not tight else {"A": subset_payload(tight[0][0]), "B": subset_payload(tight[0][1])}
+    assert report.witness["first_violation"] == first
+    assert report.verdict == ("violated" if tight else "holds")

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from sumsetlab.errors import DomainError, ParseError, UnsupportedOperationError, UsageError
+from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UnsupportedOperationError, UsageError
 from sumsetlab.setops import (
+    PRODUCT_TABLE_CAP,
     FiniteSubset,
+    ProductTable,
     boundary_set,
     coset_classes,
     cover_by_two_progressions,
@@ -17,6 +19,7 @@ from sumsetlab.setops import (
     max_progression_partition,
     min_progression_cover,
     product_set,
+    product_size,
     progression_ratios,
 )
 
@@ -110,6 +113,27 @@ def test_product_set_errors(z1, klein):
         product_set(A, FiniteSubset(z1))
     with pytest.raises(UsageError):
         product_set(A, FiniteSubset.from_keys(klein, [(0, 0)]))
+
+
+def test_product_table_matches_product_size(any_backend):
+    rng = random.Random(41)
+    window = any_backend.ball(2)
+    table = ProductTable(window)
+    n = len(window)
+    Bs = [tuple(sorted(rng.sample(range(n), rng.randint(1, 5)))) for _ in range(20)]
+    for _ in range(20):
+        A = tuple(sorted(rng.sample(range(n), rng.randint(1, 5))))
+        expected = [product_size(table.subset(A), table.subset(B)) for B in Bs]
+        assert table.product_sizes(A, Bs) == expected
+        assert [table.product_size(A, B) for B in Bs] == expected
+    assert table.subset((0, n - 1)).keys == (window.keys[0], window.keys[-1])
+
+
+def test_product_table_cap(z1):
+    side = int(PRODUCT_TABLE_CAP ** 0.5)
+    ProductTable(zset(z1, range(8)))
+    with pytest.raises(ResourceLimitError):
+        ProductTable(zset(z1, range(side + 1)))
 
 
 def test_singleton_deficiency(any_backend):
