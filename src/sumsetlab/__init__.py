@@ -17,9 +17,6 @@ from .groups import (
     LatticeBackend,
     backend_from_spec,
     in_cyclic,
-    invert,
-    multiply,
-    power,
     primitive_root,
 )
 from .setops import (

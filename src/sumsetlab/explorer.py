@@ -14,6 +14,7 @@ in isolation.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -79,21 +80,10 @@ class Campaign:
                 raise UsageError(f"{name} must be in 0..{DEFAULT_BALL_CAP}, got {getattr(self, name)}")
 
     def canonical(self) -> dict:
-        # jobs is an execution parameter, not part of the campaign identity
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "backends": list(self.backends),
-            "laws": list(self.laws),
-            "budget": self.budget,
-            "seed": self.seed,
-            "radius": self.radius,
-            "sizes": list(self.sizes),
-            "n_values": list(self.n_values),
-            "k_values": list(self.k_values),
-            "d_values": list(self.d_values),
-            "m_values": list(self.m_values),
-            "iso_radius": self.iso_radius,
-        }
+        # every field but jobs, an execution parameter; json writes tuples as lists
+        fields = dataclasses.fields(self)
+        return {"schema_version": SCHEMA_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields if f.name != "jobs"}}
 
     def hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
@@ -114,21 +104,32 @@ class Campaign:
             laws = [laws]
         if not laws:
             raise UsageError("campaign config needs at least one law")
-        kwargs = {}
-        try:
-            for name in ("budget", "seed", "jobs", "radius", "iso_radius"):
-                if name in data:
-                    kwargs[name] = int(data[name])
-            for name in ("sizes", "n_values", "k_values", "d_values", "m_values"):
-                if name in data:
-                    kwargs[name] = tuple(int(x) for x in data[name])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"campaign field {name!r} needs integers: {exc}") from None
+        # every field with a default is an integer or a tuple of integers
+        kwargs = {f.name: _int_field(data, f.name, f.default, "campaign")
+                  for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
         return cls(backends=tuple(backends), laws=tuple(laws), **kwargs)
 
     @classmethod
     def from_file(cls, path) -> "Campaign":
         return cls.from_dict(load_config(path))
+
+
+def _int_field(data: dict, name: str, default, where: str):
+    """data[name] as an integer, or as integers where the default is a tuple.
+
+    An absent field reads as the default; a malformed one is a UsageError naming it.
+    """
+    if name not in data:
+        return default
+    value = data[name]
+    try:
+        if not isinstance(default, tuple):
+            return int(value)
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{value!r} is not a list")
+        return tuple(int(x) for x in value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{where} field {name!r} needs integers: {exc}") from None
 
 
 def load_config(path) -> dict:
@@ -350,24 +351,26 @@ def hunt(conjecture: str, grid: dict) -> list[LawReport]:
     """Scan a parameter grid, emitting finding records only."""
     if conjecture not in HUNTS:
         raise UsageError(f"unknown conjecture id {conjecture!r}")
+    if not isinstance(grid, dict):
+        raise UsageError(f"a hunt grid is a JSON object, got {grid!r}")
     return HUNTS[conjecture](grid)
 
 
 def _universe_keys(backend: GroupBackend, grid: dict) -> list[tuple]:
-    span = grid.get("span")
+    span = _int_field(grid, "span", None, "hunt grid")
     if span is not None:
         if not isinstance(backend, LatticeBackend) or backend.dim != 1:
             raise UsageError("span universes are defined for zd:1")
         return [(i,) for i in range(span + 1)]
-    return list(backend.ball_keys(grid.get("radius", 3)))
+    return list(backend.ball_keys(_int_field(grid, "radius", 3, "hunt grid")))
 
 
 def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
     """Scan for certified atoms larger than n; sets are translation-normalized."""
     backend = backend_from_spec(grid.get("backend", "zd:1"))
     universe = _universe_keys(backend, grid)
-    n_max = grid.get("n_max", 3)
-    window = backend.ball(grid.get("x_radius", 4))
+    n_max = _int_field(grid, "n_max", 3, "hunt grid")
+    window = backend.ball(_int_field(grid, "x_radius", 4, "hunt grid"))
     id_key = backend.identity_key
     others = [k for k in universe if k != id_key]
     if 1 << len(others) > ATOM_HUNT_SUBSET_CAP:
@@ -400,7 +403,9 @@ def _hunt_3k4(grid: dict) -> list[LawReport]:
     """Exhaustive small-square progression-cover scan over a universe."""
     backend = backend_from_spec(grid.get("backend", "zd:1"))
     universe = _universe_keys(backend, grid)
-    sizes = grid.get("sizes", (4, 5))
+    sizes = _int_field(grid, "sizes", (4, 5), "hunt grid")
+    if any(size < 1 for size in sizes):
+        raise UsageError(f"hunt grid field 'sizes' needs sizes of at least 1, got {list(sizes)}")
     total = sum(math.comb(len(universe), size) for size in sizes)
     if total > HUNT_3K4_SET_CAP:
         raise ResourceLimitError(f"{total} sets A exceed the 3k-4 hunt cap {HUNT_3K4_SET_CAP}")
@@ -431,7 +436,7 @@ def _hunt_freiman_union(grid: dict) -> list[LawReport]:
     ResourceLimitError above TWO_COVER_MAX_SIZE.
     """
     findings: list[LawReport] = []
-    for m in grid.get("m_values", (1, 2, 3, 4, 5)):
+    for m in _int_field(grid, "m_values", (1, 2, 3, 4, 5), "hunt grid"):
         A = klein_union_set(m)
         sq = product_size(A, A)
         if not 3 * sq < 10 * len(A) - 15:

@@ -171,19 +171,6 @@ class GroupBackend:
     def parse(self, text: str) -> GroupElement:
         return GroupElement(self, self.parse_key(text))
 
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self._check_owned(g)
-        self._check_owned(h)
-        return g * h
-
-    def invert(self, g: GroupElement) -> GroupElement:
-        self._check_owned(g)
-        return g.inverse()
-
-    def power(self, g: GroupElement, n: int) -> GroupElement:
-        self._check_owned(g)
-        return g ** n
-
     def primitive_root(self, g: GroupElement) -> tuple[GroupElement, int]:
         """Write g = root**exponent with the exponent maximal; g must not be 1."""
         self._check_owned(g)
@@ -202,12 +189,12 @@ class GroupBackend:
             raise DomainError("membership in <1> is only defined for the identity")
         return self.in_cyclic_key(g.key, h.key)
 
-    def ball_keys(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> tuple:
+    def ball_keys(self, radius: int) -> tuple:
         """Sorted keys of all elements of word length <= radius."""
         if radius < 0:
             raise DomainError("ball radius must be nonnegative")
-        if radius > cap:
-            raise ResourceLimitError(f"ball radius {radius} exceeds the cap {cap}")
+        if radius > DEFAULT_BALL_CAP:
+            raise ResourceLimitError(f"ball radius {radius} exceeds the cap {DEFAULT_BALL_CAP}")
         cached = self._ball_cache.get(radius)
         if cached is None:
             steps = []
@@ -229,11 +216,11 @@ class GroupBackend:
             self._ball_cache[radius] = cached
         return cached
 
-    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP):
+    def ball(self, radius: int):
         """The word-metric ball of the given radius as a :class:`FiniteSubset`."""
         from .setops import FiniteSubset
 
-        return FiniteSubset._from_keys(self, self.ball_keys(radius, cap))
+        return FiniteSubset._from_keys(self, self.ball_keys(radius))
 
     # -- plumbing ---------------------------------------------------------
 
@@ -596,6 +583,8 @@ _BACKEND_CACHE: dict[str, GroupBackend] = {}
 
 def backend_from_spec(spec: str) -> GroupBackend:
     """Resolve a backend spec string: zd:<d>, free:<k>, klein or heis."""
+    if not isinstance(spec, str):
+        raise UsageError(f"a group spec is a string, got {spec!r}")
     s = spec.strip().lower()
     backend = _BACKEND_CACHE.get(s)
     if backend is not None:
@@ -620,19 +609,7 @@ def _parse_spec_int(spec: str, tail: str) -> int:
     return int(tail)
 
 
-# module-level conveniences mirroring the element API
-
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g.backend.multiply(g, h)
-
-
-def invert(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
-def power(g: GroupElement, n: int) -> GroupElement:
-    return g ** n
-
+# module-level conveniences for the element API
 
 def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
     return g.backend.primitive_root(g)

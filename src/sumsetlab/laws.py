@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from .errors import DomainError, ResourceLimitError, UnsupportedOperationError, UsageError
-from .groups import (
-    FreeBackend,
-    GroupBackend,
-    HeisenbergBackend,
-    KleinBackend,
-    LatticeBackend,
-    backend_from_spec,
-)
+from .groups import GroupBackend, KleinBackend, LatticeBackend, backend_from_spec
 from .isoperimetry import CERTIFIED_EXACT, IsoInstance, IsoResult, kappa_restricted
 from .reports import (
     LawReport,
@@ -271,17 +264,11 @@ def check_atom_lemmas(C: FiniteSubset, n: int, result: IsoResult, k: int | None 
 
 def _atom_lemma_report(law: str, U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
     backend = U.backend
-    mul, inv = backend.mul_key, backend.inv_key
-    ukeys, ukeyset = U.keys, frozenset(U.keys)
     witness = {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": k}
 
     if law == "atom_left":
-        # |U meet gU| <= n - 1; only g in U U^-1 give a non-empty meet
-        worst, worst_g = 0, None
-        for g in _support_keys(backend, ukeys, left=True):
-            inter = sum(1 for u in ukeys if mul(g, u) in ukeyset)
-            if inter > worst:
-                worst, worst_g = inter, g
+        # |U meet gU| <= n - 1
+        worst, worst_g = _worst_overlap(U, left=True)
         slack = worst - (n - 1)
         witness["worst_g"] = backend.format_key(worst_g) if worst_g else None
         witness["max_intersection"] = worst
@@ -292,24 +279,18 @@ def _atom_lemma_report(law: str, U: FiniteSubset, C: FiniteSubset, n: int, k: in
         if n < 2:
             return _hyp(law, witness, "requires n >= 2")
         # integer-cleared form: (n-1)|U meet Ug| <= (n-2)|U| + 1
-        rhs = (n - 2) * len(U) + 1
-        worst_slack, worst_g = None, None
-        for g in _support_keys(backend, ukeys, left=False):
-            inter = sum(1 for u in ukeys if mul(u, g) in ukeyset)
-            slack = (n - 1) * inter - rhs
-            if worst_slack is None or slack > worst_slack:
-                worst_slack, worst_g = slack, g
-        if worst_slack is None:
-            worst_slack = -rhs
+        worst, worst_g = _worst_overlap(U, left=False)
+        slack = (n - 1) * worst - ((n - 2) * len(U) + 1)
         witness["worst_g"] = backend.format_key(worst_g) if worst_g else None
-        verdict = VERDICT_HOLDS if worst_slack <= 0 else VERDICT_VIOLATED
-        return LawReport(law, verdict, worst_slack, witness)
+        verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
+        return LawReport(law, verdict, slack, witness)
 
     if law == "atom_nonunique":
         if len(U) <= n:
             return _hyp(law, witness, f"|U| = {len(U)} is not larger than n = {n}")
         counts: dict = {}
-        for u in ukeys:
+        mul = backend.mul_key
+        for u in U.keys:
             for c in C.keys:
                 key = mul(u, c)
                 counts[key] = counts.get(key, 0) + 1
@@ -335,9 +316,10 @@ def _atom_lemma_report(law: str, U: FiniteSubset, C: FiniteSubset, n: int, k: in
             return _hyp(law, witness, "requires n >= 3")
         if len(C) < 3:
             return _hyp(law, witness, f"|C| = {len(C)} < 3")
-        kk = k if k is not None else deficiency(U, C)
+        uc = product_size(U, C)
+        kk = k if k is not None else uc - len(U) - len(C)
         witness["k"] = kk
-        if product_size(U, C) > len(U) + len(C) + kk:
+        if uc > len(U) + len(C) + kk:
             return _hyp(law, witness, f"|UC| exceeds |U| + |C| + k with k = {kk}")
         bound = kk + 3 if law == "two_atom" else n * (2 * kk + 3)
         slack = len(U) - bound
@@ -353,30 +335,38 @@ def _atom_lemma_report(law: str, U: FiniteSubset, C: FiniteSubset, n: int, k: in
     raise UsageError(f"unknown atom lemma {law!r}")
 
 
-def _support_keys(backend: GroupBackend, ukeys: tuple, left: bool) -> list[tuple]:
-    """Non-identity g with U meet gU (left) or U meet Ug (right) possibly non-empty."""
-    mul, inv = backend.mul_key, backend.inv_key
-    if left:
-        keys = {mul(a, inv(b)) for a in ukeys for b in ukeys}
-    else:
-        keys = {mul(inv(a), b) for a in ukeys for b in ukeys}
-    keys.discard(backend.identity_key)
-    return sorted(keys)
+def _worst_overlap(U: FiniteSubset, left: bool) -> tuple[int, tuple | None]:
+    """The largest |U meet gU| (left) or |U meet Ug| (right) over g != 1, and the least such g.
+
+    u != w in U lie in U meet gU as g u = w exactly when g = w u^-1, and in
+    U meet Ug as u g = w exactly when g = u^-1 w: one pass over the ordered
+    pairs counts every overlap. A singleton U has none: (0, None).
+    """
+    mul, inv = U.backend.mul_key, U.backend.inv_key
+    counts: dict = {}
+    for u in U.keys:
+        u_inv = inv(u)
+        for w in U.keys:
+            if w != u:
+                g = mul(w, u_inv) if left else mul(u_inv, w)
+                counts[g] = counts.get(g, 0) + 1
+    if not counts:
+        return 0, None
+    worst = max(counts.values())
+    return worst, min(g for g, count in counts.items() if count == worst)
 
 
 # -- three-element set expansion and the main bound ------------------------
 
 
 def _noncommuting_pair(backend: GroupBackend):
-    if isinstance(backend, (KleinBackend, HeisenbergBackend)):
-        g1, g2 = backend.generators[:2]
-    elif isinstance(backend, FreeBackend) and backend.rank >= 2:
-        g1, g2 = backend.generators[:2]
-    else:
+    """The backend's first two generators, when they exist and do not commute."""
+    pair = backend.generators[:2]
+    if len(pair) < 2 or pair[0] * pair[1] == pair[1] * pair[0]:
         raise UnsupportedOperationError(
             f"backend {backend.spec} has no canonical non-commuting generator pair"
         )
-    return g1, g2
+    return pair
 
 
 def standard_triple(backend: GroupBackend) -> FiniteSubset:

@@ -67,13 +67,3 @@ def subset_from_payload(payload: dict):
 
     backend = backend_from_spec(payload["backend"])
     return FiniteSubset.from_keys(backend, (backend.parse_key(t) for t in payload["elements"]))
-
-
-def element_payload(g) -> dict:
-    return {"backend": g.backend.spec, "element": str(g)}
-
-
-def element_from_payload(payload: dict):
-    from .groups import backend_from_spec
-
-    return backend_from_spec(payload["backend"]).parse(payload["element"])

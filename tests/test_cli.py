@@ -262,6 +262,14 @@ def test_explore_non_integer_field_is_a_usage_error(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_explore_non_string_backend_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": [5], "laws": ["kempermann"], "budget": 1, "seed": 1}))
+    code, _, err = run_cli(capsys, "explore", "--config", str(config))
+    assert code == 2
+    assert "group spec" in err
+
+
 def test_explore_non_integer_jobs_exits_2(tmp_path):
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 1, "seed": 1}))

@@ -1,5 +1,6 @@
 """Campaign execution, record persistence, hunts and extremal scans."""
 
+import dataclasses
 import itertools
 import json
 
@@ -66,6 +67,43 @@ def test_campaign_rejects_bad_config(bad):
 def test_campaign_hash_ignores_jobs():
     assert small_campaign(jobs=1).hash() == small_campaign(jobs=4).hash()
     assert small_campaign(seed=1).hash() != small_campaign(seed=2).hash()
+
+
+IDENTITY_CAMPAIGN = Campaign(backends=("zd:2", "klein"), laws=("kempermann", "equality"), seed=5, sizes=(2, 6))
+
+
+@pytest.mark.parametrize("campaign, digest", [
+    (IDENTITY_CAMPAIGN, "abe6a1cb03e91088"),
+    (Campaign(backends=("heis", "free:2"), laws=("atom_left", "uvk"), budget=7, seed=11, radius=2,
+              sizes=(1, 5), n_values=(2, 3), k_values=(1, 2), d_values=(3, 4), m_values=(2,),
+              iso_radius=2), "e90f1c0d83fc9fe9"),
+])
+def test_campaign_hash_is_pinned(campaign, digest):
+    # record stores written by earlier versions name their campaign by this hash
+    assert campaign.hash() == digest
+
+
+def _changed(value):
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value[0], str):
+        return value[::-1]
+    return value[:-1] + (value[-1] + 1,)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Campaign)])
+def test_every_field_but_jobs_is_campaign_identity(name):
+    other = dataclasses.replace(IDENTITY_CAMPAIGN, **{name: _changed(getattr(IDENTITY_CAMPAIGN, name))})
+    if name == "jobs":
+        assert other.hash() == IDENTITY_CAMPAIGN.hash()
+    else:
+        assert other.hash() != IDENTITY_CAMPAIGN.hash()
+
+
+@pytest.mark.parametrize("field, value", [("budget", "x"), ("n_values", 2), ("sizes", "18"), ("jobs", [2])])
+def test_campaign_from_dict_names_a_malformed_field(field, value):
+    with pytest.raises(UsageError, match=f"'{field}'"):
+        Campaign.from_dict({"backends": ["zd:1"], "laws": ["kempermann"], field: value})
 
 
 def test_campaign_config_round_trip(tmp_path):
@@ -373,6 +411,27 @@ def test_hunt_3k4_checks_only_small_squares(monkeypatch, grid):
 def test_hunt_freiman_union_family():
     findings = hunt("freiman_union", {"m_values": [1, 2, 3, 4, 5]})
     assert findings == []
+
+
+@pytest.mark.parametrize("conjecture, grid, field", [
+    ("3k4", {"sizes": [-1]}, "sizes"),
+    ("3k4", {"sizes": [0, 4]}, "sizes"),
+    ("3k4", {"sizes": 4}, "sizes"),
+    ("3k4", {"backend": "zd:1", "span": "eight"}, "span"),
+    ("3k4", {"radius": [2]}, "radius"),
+    ("atom_conjecture", {"n_max": "x"}, "n_max"),
+    ("atom_conjecture", {"x_radius": None}, "x_radius"),
+    ("freiman_union", {"m_values": 3}, "m_values"),
+    ("freiman_union", {"m_values": ["two"]}, "m_values"),
+])
+def test_hunt_rejects_malformed_grid_naming_the_field(conjecture, grid, field):
+    with pytest.raises(UsageError, match=f"'{field}'"):
+        hunt(conjecture, grid)
+
+
+def test_hunt_grid_is_an_object():
+    with pytest.raises(UsageError, match="JSON object"):
+        hunt("3k4", [4, 5])
 
 
 def test_hunt_unknown_conjecture():

@@ -133,7 +133,7 @@ def test_klein_inverse_closed_form(klein):
 
 
 def test_power_examples(z2, klein, any_backend):
-    assert klein.power(klein.parse("u v"), 2) == klein.parse("u^2")
+    assert klein.parse("u v") ** 2 == klein.parse("u^2")
     assert (z2.parse("(1,2)") ** 3).key == (3, 6)
     assert (any_backend.generators[0] ** 0).is_identity()
 

@@ -5,8 +5,6 @@ import json
 from sumsetlab.groups import backend_from_spec
 from sumsetlab.reports import (
     LawReport,
-    element_from_payload,
-    element_payload,
     subset_from_payload,
     subset_payload,
 )
@@ -20,11 +18,6 @@ def test_subset_payload_round_trip(any_backend):
     assert subset_from_payload(payload) == S
     # payloads are JSON-able as-is
     assert subset_from_payload(json.loads(json.dumps(payload))) == S
-
-
-def test_element_payload_round_trip(any_backend):
-    for g in any_backend.ball(2):
-        assert element_from_payload(element_payload(g)) == g
 
 
 def test_law_report_dict_round_trip():
