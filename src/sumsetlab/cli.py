@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for clean runs (conjecture findings included), 1 when a
-theorem-status law is violated, 2 for usage, parse and resource errors.
-These flags take a default from an environment variable with the
+theorem-status law is violated, 2 for usage, parse, resource and file
+errors. These flags take a default from an environment variable with the
 SUMSETLAB_ prefix: --group, --format, --out, --n, --k, --d, --m, --radius,
 --seed, --jobs and --config (SUMSETLAB_GROUP, SUMSETLAB_FORMAT, ...).
 """
@@ -14,14 +14,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    DomainError,
-    ParseError,
-    ResourceLimitError,
-    SumsetLabError,
-    UnsupportedOperationError,
-    UsageError,
-)
+from .errors import DomainError, ParseError, SumsetLabError, UsageError
 from .explorer import (
     Campaign,
     load_config,
@@ -34,7 +27,7 @@ from .isoperimetry import IsoInstance, kappa_restricted
 from .laws import (
     LAWS,
     THEOREM_LAWS,
-    empirical_c_lower,
+    check_c_lower,
     example_klein_grid,
     example_klein_union,
 )
@@ -152,10 +145,8 @@ def _cmd_example(args) -> int:
         lines = [f"|A| = {len(A)}", _report_lines(report)]
         obj = {"A": subset_payload(A), "report": report.to_dict()}
     elif args.name == "c-lower":
-        witness = empirical_c_lower(args.k)
-        lines = [f"k = {witness.k}: |B| = {witness.B_size}, deficiency = {witness.deficiency} (m = {witness.m})"]
-        obj = {"k": witness.k, "B_size": witness.B_size,
-               "deficiency": witness.deficiency, "m": witness.m}
+        obj = check_c_lower(args.k).witness
+        lines = [f"k = {obj['k']}: |B| = {obj['B_size']}, deficiency = {obj['deficiency']} (m = {obj['m']})"]
     else:
         raise UsageError(f"unknown example {args.name!r}")
     _emit(args, lines, [obj])
@@ -282,13 +273,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, DomainError, UnsupportedOperationError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SumsetLabError as exc:
+    except (SumsetLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

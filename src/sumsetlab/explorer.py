@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError, ResourceLimitError, UsageError
 from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, backend_from_spec
-from .isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4, klein_union_set
 from .reports import (
     LawReport,
@@ -73,8 +72,12 @@ class Campaign:
         if len(self.sizes) != 2 or not 1 <= self.sizes[0] <= self.sizes[1]:
             raise UsageError(f"sizes must be [lo, hi] with 1 <= lo <= hi, got {list(self.sizes)}")
         for name in ("n_values", "k_values", "d_values", "m_values"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise UsageError(f"{name} must not be empty")
+            # uvk reports d < 3 as hypothesis_not_met, so d_values has no floor
+            if name != "d_values" and min(values) < 1:
+                raise UsageError(f"{name} must be at least 1, got {list(values)}")
         for name in ("radius", "iso_radius"):
             if not 0 <= getattr(self, name) <= DEFAULT_BALL_CAP:
                 raise UsageError(f"{name} must be in 0..{DEFAULT_BALL_CAP}, got {getattr(self, name)}")
@@ -329,7 +332,7 @@ def extremal_pairs(window: FiniteSubset, size_a: int, size_b: int):
     grid = math.comb(len(window), size_a) * math.comb(len(window), size_b)
     if grid > EXTREMAL_PAIR_CAP:
         raise ResourceLimitError(f"{grid} pairs exceed the enumeration cap {EXTREMAL_PAIR_CAP}")
-    table = ProductTable(window)
+    table = ProductTable(window, window)
     combos_a = list(itertools.combinations(range(len(window)), size_a))
     combos_b = list(itertools.combinations(range(len(window)), size_b))
     best = None
@@ -356,9 +359,18 @@ def hunt(conjecture: str, grid: dict) -> list[LawReport]:
     return HUNTS[conjecture](grid)
 
 
+def _hunt_field(grid: dict, name: str, default, least: int):
+    """A grid field as _int_field reads it; a UsageError names it when empty or below least."""
+    value = _int_field(grid, name, default, "hunt grid")
+    values = value if isinstance(value, tuple) else (value,)
+    if not values or min(values) < least:
+        raise UsageError(f"hunt grid field {name!r} needs values of at least {least}, got {json.dumps(value)}")
+    return value
+
+
 def _universe_keys(backend: GroupBackend, grid: dict) -> list[tuple]:
-    span = _int_field(grid, "span", None, "hunt grid")
-    if span is not None:
+    if "span" in grid:
+        span = _hunt_field(grid, "span", 0, 0)
         if not isinstance(backend, LatticeBackend) or backend.dim != 1:
             raise UsageError("span universes are defined for zd:1")
         return [(i,) for i in range(span + 1)]
@@ -366,10 +378,10 @@ def _universe_keys(backend: GroupBackend, grid: dict) -> list[tuple]:
 
 
 def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
-    """Scan for certified atoms larger than n; sets are translation-normalized."""
+    """The atom_conjecture law's findings over translation-normalized sets C and n <= n_max."""
     backend = backend_from_spec(grid.get("backend", "zd:1"))
     universe = _universe_keys(backend, grid)
-    n_max = _int_field(grid, "n_max", 3, "hunt grid")
+    n_max = _hunt_field(grid, "n_max", 3, 1)
     window = backend.ball(_int_field(grid, "x_radius", 4, "hunt grid"))
     id_key = backend.identity_key
     others = [k for k in universe if k != id_key]
@@ -377,39 +389,25 @@ def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
         raise ResourceLimitError(
             f"{1 << len(others)} sets C exceed the atom hunt cap {ATOM_HUNT_SUBSET_CAP}"
         )
+    law = LAWS["atom_conjecture"]
     findings: list[LawReport] = []
     for mask in range(1 << len(others)):
         keys = [id_key] + [k for i, k in enumerate(others) if mask >> i & 1]
         C = FiniteSubset.from_keys(backend, keys)
         for n in range(1, min(n_max, len(window)) + 1):
-            result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
-            if result.certificate != CERTIFIED_EXACT:
-                continue
-            for U in result.atoms:
-                if len(U) != n:
-                    findings.append(
-                        LawReport(
-                            "atom_conjecture",
-                            VERDICT_FINDING,
-                            len(U) - n,
-                            {"C": subset_payload(C), "n": n, "U": subset_payload(U)},
-                            "certified atom larger than n",
-                        )
-                    )
+            findings += [r for r in law.run(C=C, n=n, window=window) if r.verdict == VERDICT_FINDING]
     return findings
 
 
 def _hunt_3k4(grid: dict) -> list[LawReport]:
     """Exhaustive small-square progression-cover scan over a universe."""
     backend = backend_from_spec(grid.get("backend", "zd:1"))
-    universe = _universe_keys(backend, grid)
-    sizes = _int_field(grid, "sizes", (4, 5), "hunt grid")
-    if any(size < 1 for size in sizes):
-        raise UsageError(f"hunt grid field 'sizes' needs sizes of at least 1, got {list(sizes)}")
+    universe = FiniteSubset._from_keys(backend, tuple(_universe_keys(backend, grid)))
+    sizes = _hunt_field(grid, "sizes", (4, 5), 1)
     total = sum(math.comb(len(universe), size) for size in sizes)
     if total > HUNT_3K4_SET_CAP:
         raise ResourceLimitError(f"{total} sets A exceed the 3k-4 hunt cap {HUNT_3K4_SET_CAP}")
-    table = ProductTable(FiniteSubset._from_keys(backend, tuple(universe)))
+    table = ProductTable(universe, universe)
     findings: list[LawReport] = []
     for size in sizes:
         for combo in itertools.combinations(range(len(universe)), size):
@@ -436,7 +434,7 @@ def _hunt_freiman_union(grid: dict) -> list[LawReport]:
     ResourceLimitError above TWO_COVER_MAX_SIZE.
     """
     findings: list[LawReport] = []
-    for m in _int_field(grid, "m_values", (1, 2, 3, 4, 5), "hunt grid"):
+    for m in _hunt_field(grid, "m_values", (1, 2, 3, 4, 5), 1):
         A = klein_union_set(m)
         sq = product_size(A, A)
         if not 3 * sq < 10 * len(A) - 15:

@@ -25,6 +25,7 @@ from typing import Optional
 from .errors import DomainError, ParseError, ResourceLimitError, UsageError
 
 DEFAULT_BALL_CAP = 12
+BALL_ELEMENT_CAP = 1 << 20
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WORD_TOKEN = re.compile(r"\S+")
@@ -190,7 +191,7 @@ class GroupBackend:
         return self.in_cyclic_key(g.key, h.key)
 
     def ball_keys(self, radius: int) -> tuple:
-        """Sorted keys of all elements of word length <= radius."""
+        """Sorted keys of all elements of word length <= radius, at most BALL_ELEMENT_CAP of them."""
         if radius < 0:
             raise DomainError("ball radius must be nonnegative")
         if radius > DEFAULT_BALL_CAP:
@@ -211,6 +212,8 @@ class GroupBackend:
                         if y not in seen:
                             seen.add(y)
                             nxt.append(y)
+                    if len(seen) > BALL_ELEMENT_CAP:
+                        raise ResourceLimitError(f"the radius-{radius} ball passes {BALL_ELEMENT_CAP} elements")
                 frontier = nxt
             cached = tuple(sorted(seen))
             self._ball_cache[radius] = cached

@@ -19,7 +19,7 @@ from .reports import (
     VERDICT_VIOLATED,
     subset_payload,
 )
-from .setops import FiniteSubset
+from .setops import FiniteSubset, ProductTable
 
 CERTIFIED_EXACT = "certified_exact"
 HEURISTIC_STABLE = "heuristic_stable"
@@ -63,28 +63,25 @@ class IsoResult:
 class _Search:
     """One combination-tree traversal over window subsets containing the identity.
 
-    The products window*C are numbered once, so XC is an int bitmask: each
-    candidate has a row mask, a child's mask is its parent's OR its row,
-    and |XC| is the mask's popcount. Two admissible bounds prune subtrees
-    that cannot tie the incumbent: adding one element lowers the objective
-    by at most 1, and for every fixed c in C the map x -> x*c is injective,
-    so the reduction is at most the number of undecided candidates whose
-    c-product already lies in XC, popcount(mask & suffix_c[i]).
+    The products window*C are numbered once by a ProductTable, so XC is an
+    int bitmask: each candidate has a row mask, a child's mask is its
+    parent's OR its row, and |XC| is the mask's popcount. Two admissible
+    bounds prune subtrees that cannot tie the incumbent: adding one element
+    lowers the objective by at most 1, and for every fixed c in C the map
+    x -> x*c is injective, so the reduction is at most the number of
+    undecided candidates whose c-product already lies in XC,
+    popcount(mask & suffix_c[i]).
     """
 
     def __init__(self, inst: IsoInstance):
-        mul = inst.backend.mul_key
         self.id_key = inst.backend.identity_key
-        self.cands = [k for k in inst.window.keys if k != self.id_key]
+        keys = inst.window.keys
+        ident = keys.index(self.id_key)
+        self.cands = keys[:ident] + keys[ident + 1:]
         self.n = inst.n
-        bits: dict = {}
-
-        def row(x) -> list[int]:
-            return [1 << bits.setdefault(mul(x, c), len(bits)) for c in inst.C.keys]
-
         # a row's bits are distinct, as c -> x*c is injective, so sum is OR
-        self.root = sum(row(self.id_key))
-        per_c = [row(x) for x in self.cands]
+        per_c = [[1 << k for k in row] for row in ProductTable(inst.window, inst.C).rows]
+        self.root = sum(per_c.pop(ident))
         self.rows = [sum(r) for r in per_c]
         # suffix[i][k]: the k-th c's products of cands[i:]
         acc = [0] * len(inst.C)

@@ -153,7 +153,7 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     total_sets = sum(math.comb(len(elems), size) for size in range(lo, hi + 1))
     if total_sets ** 2 > EQUALITY_PAIR_CAP:
         raise ResourceLimitError(f"{total_sets ** 2} pairs exceed the enumeration cap")
-    table = ProductTable(window)
+    table = ProductTable(window, window)
     combos = [combo for size in range(lo, hi + 1)
               for combo in itertools.combinations(range(len(elems)), size)]
     sets = [table.subset(combo) for combo in combos]
@@ -474,17 +474,7 @@ def example_klein_union(m: int) -> tuple[FiniteSubset, LawReport]:
     return A, LawReport("klein_union", verdict, sq - (10 * m - 1), witness)
 
 
-@dataclass(frozen=True)
-class EmpiricalBoundWitness:
-    """A grid pair certifying that the main-theorem gate is at least B_size."""
-
-    k: int
-    B_size: int
-    deficiency: int
-    m: int
-
-
-def empirical_c_lower(k: int) -> EmpiricalBoundWitness:
+def check_c_lower(k: int) -> LawReport:
     """Grid witness with deficiency 2m - 3 <= k at |B| = m^2, m = floor((k+3)/2).
 
     The conclusion |AB| > |A| + |B| + k fails on this pair, so any valid
@@ -495,16 +485,10 @@ def empirical_c_lower(k: int) -> EmpiricalBoundWitness:
     m = (k + 3) // 2
     A, B = klein_grid_sets(m)
     dfc = deficiency(A, B)
-    return EmpiricalBoundWitness(k=k, B_size=len(B), deficiency=dfc, m=m)
-
-
-def check_c_lower(k: int) -> LawReport:
-    """Wrap the quadratic-gate witness as a replayable report."""
-    w = empirical_c_lower(k)
-    ok = w.deficiency == 2 * w.m - 3 and w.deficiency <= k and w.B_size == w.m ** 2
-    witness = {"k": k, "m": w.m, "B_size": w.B_size, "deficiency": w.deficiency}
+    ok = dfc == 2 * m - 3 and dfc <= k and len(B) == m ** 2
+    witness = {"k": k, "m": m, "B_size": len(B), "deficiency": dfc}
     verdict = VERDICT_HOLDS if ok else VERDICT_VIOLATED
-    return LawReport("c_lower", verdict, k - w.deficiency, witness)
+    return LawReport("c_lower", verdict, k - dfc, witness)
 
 
 # -- the law registry ---------------------------------------------------------

@@ -179,29 +179,30 @@ def deficiency(A: FiniteSubset, B: FiniteSubset) -> int:
 
 
 class ProductTable:
-    """The products of a window with itself, numbered once.
+    """The products of a window W with a second set Y, numbered once.
 
-    ``rows[i][j]`` is the number of ``w_i w_j`` among the distinct
+    ``rows[i][j]`` is the number of ``w_i y_j`` among the distinct
     products, so ``1 << rows[i][j]`` is its one-bit mask. The rows keep
-    numbers, not masks: |W|^2 masks of up to |W|^2 bits would not fit
-    in memory on windows with few coinciding products. Subsets of the
-    window are tuples of window indices; a product set is the OR of the
-    masks of its products and its size is a popcount. The table takes
-    |W|^2 ``mul_key`` calls and at most ``PRODUCT_TABLE_CAP`` of them.
+    numbers, not masks: |W||Y| masks of up to |W||Y| bits would not fit
+    in memory on windows with few coinciding products. Subsets are tuples
+    of indices, into W on the left and into Y on the right; a product set
+    is the OR of the masks of its products and its size is a popcount.
+    The table takes |W||Y| ``mul_key`` calls and at most
+    ``PRODUCT_TABLE_CAP`` of them.
     """
 
     __slots__ = ("window", "rows")
 
-    def __init__(self, window: FiniteSubset):
+    def __init__(self, window: FiniteSubset, right: FiniteSubset):
         keys = window.keys
-        if len(keys) ** 2 > PRODUCT_TABLE_CAP:
+        if len(keys) * len(right) > PRODUCT_TABLE_CAP:
             raise ResourceLimitError(
-                f"{len(keys) ** 2} window products exceed the table cap {PRODUCT_TABLE_CAP}"
+                f"{len(keys) * len(right)} window products exceed the table cap {PRODUCT_TABLE_CAP}"
             )
         mul = window.backend.mul_key
         numbers: dict = {}
         self.window = window
-        self.rows = [[numbers.setdefault(mul(a, b), len(numbers)) for b in keys] for a in keys]
+        self.rows = [[numbers.setdefault(mul(a, b), len(numbers)) for b in right.keys] for a in keys]
 
     def subset(self, indices: tuple) -> FiniteSubset:
         keys = self.window.keys
@@ -219,11 +220,11 @@ class ProductTable:
     def product_sizes(self, A: tuple, Bs: list) -> list[int]:
         """|AB| for every B in Bs, from the columns of A.
 
-        ``cols[j]`` is the mask of ``A w_j``, the OR over i in A of
+        ``cols[j]`` is the mask of ``A y_j``, the OR over i in A of
         ``1 << rows[i][j]``; |AB| is the popcount of the OR of ``cols[j]``
         over j in B.
         """
-        cols = [0] * len(self.rows)
+        cols = [0] * len(self.rows[0])
         for i in A:
             cols = [c | 1 << k for c, k in zip(cols, self.rows[i])]
         sizes = []

@@ -14,10 +14,10 @@ from sumsetlab.groups import backend_from_spec
 from sumsetlab.isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from sumsetlab.laws import (
     check_atom_lemmas,
+    check_c_lower,
     check_equality_characterization,
     check_main_theorem,
     check_uvk,
-    empirical_c_lower,
     example_klein_grid,
     example_klein_union,
     klein_grid_sets,
@@ -62,12 +62,12 @@ def test_criterion_02_klein_union_family():
 def test_criterion_03_quadratic_c_lower_witnesses():
     ok = True
     for k in range(1, 21):
-        w = empirical_c_lower(k)
+        w = check_c_lower(k).witness
         m = (k + 3) // 2
-        ok = ok and w.m == m and w.B_size == m * m
-        ok = ok and w.deficiency == 2 * m - 3 and w.deficiency <= k
+        ok = ok and w["m"] == m and w["B_size"] == m * m
+        ok = ok and w["deficiency"] == 2 * m - 3 and w["deficiency"] <= k
         A, B = klein_grid_sets(m)
-        ok = ok and product_size(A, B) - len(A) - len(B) == w.deficiency
+        ok = ok and product_size(A, B) - len(A) - len(B) == w["deficiency"]
     report_line("criterion 3: c(k) witness deficiency 2*floor((k+3)/2)-3 <= k, |B| = m^2, k in 1..20", ok)
     assert ok
 

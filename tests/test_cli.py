@@ -138,9 +138,22 @@ def test_example_klein_grid(capsys):
 
 
 def test_example_c_lower(capsys):
-    code, out, _ = run_cli(capsys, "example", "--name", "c-lower", "--k", "5")
-    assert code == 0
-    assert "|B| = 16" in out and "deficiency = 5" in out
+    assert run_cli(capsys, "example", "--name", "c-lower", "--k", "5") == (
+        0, "k = 5: |B| = 16, deficiency = 5 (m = 4)\n", "")
+    assert run_cli(capsys, "example", "--name", "c-lower", "--k", "5", "--format", "json") == (
+        0, '{"B_size": 16, "deficiency": 5, "k": 5, "m": 4}\n', "")
+
+
+def test_os_errors_exit_2(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 1, "seed": 0}))
+    for argv in (
+        ("sumset", str(tmp_path), str(tmp_path), "--group", "zd:1"),
+        ("report", "--run", str(tmp_path)),
+        ("explore", "--config", str(config), "--out", str(tmp_path / "missing" / "x.jsonl")),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
 
 
 def test_explore_and_report(tmp_path, capsys):

@@ -44,6 +44,8 @@ def test_campaign_validation():
         Campaign(backends=("zd:1",), laws=("kempermann",), budget=0)
     with pytest.raises(UsageError):
         Campaign(backends=("what:1",), laws=("kempermann",))
+    # uvk reports d < 3 as hypothesis_not_met, so d_values has no floor
+    Campaign(backends=("klein",), laws=("uvk",), d_values=(0,))
 
 
 @pytest.mark.parametrize("bad", [
@@ -58,6 +60,11 @@ def test_campaign_validation():
     {"radius": 13},
     {"radius": -1},
     {"iso_radius": 13},
+    {"n_values": (0,)},
+    {"n_values": (2, 0)},
+    {"k_values": (0,)},
+    {"k_values": (-1,)},
+    {"m_values": (0,)},
 ])
 def test_campaign_rejects_bad_config(bad):
     with pytest.raises(UsageError):
@@ -354,15 +361,34 @@ def test_hunt_atom_conjecture_z_small():
 
 
 def test_hunt_atom_conjecture_caps_before_enumerating(monkeypatch):
-    from sumsetlab import explorer
+    from sumsetlab import laws
 
     def no_search(*args, **kwargs):
         raise AssertionError("the hunt searched before checking its cap")
 
-    monkeypatch.setattr(explorer, "kappa_restricted", no_search)
+    monkeypatch.setattr(laws, "kappa_restricted", no_search)
     # klein's radius-3 ball has 25 elements: 2^24 sets C
     with pytest.raises(ResourceLimitError):
         hunt("atom_conjecture", {"backend": "klein"})
+
+
+def test_hunt_atom_conjecture_findings_are_the_law_reports(monkeypatch):
+    from sumsetlab import laws
+    from sumsetlab.isoperimetry import CERTIFIED_EXACT, IsoResult
+
+    def two_element_atom(inst, fragment_limit):
+        U = FiniteSubset.from_keys(inst.backend, [(0,), (1,)])
+        return IsoResult(len(inst.C) - 1, (U,), (), CERTIFIED_EXACT, inst)
+
+    monkeypatch.setattr(laws, "kappa_restricted", two_element_atom)
+    grid = {"backend": "zd:1", "span": 1, "n_max": 1, "x_radius": 1}
+    findings = hunt("atom_conjecture", grid)
+    # C is {0} or {0, 1} and n = 1, so the two-element atom is one finding per C
+    assert [(r.verdict, r.slack, r.detail) for r in findings] == [("finding", 1, "atom larger than n")] * 2
+    z1 = backend_from_spec("zd:1")
+    C = FiniteSubset.from_keys(z1, [(0,), (1,)])
+    assert findings[1] == laws.LAWS["atom_conjecture"].run(C=C, n=1, window=z1.ball(1))[0]
+    assert findings[1].witness["k"] is None
 
 
 def test_hunt_3k4_caps_before_enumerating(monkeypatch):
@@ -423,6 +449,10 @@ def test_hunt_freiman_union_family():
     ("atom_conjecture", {"x_radius": None}, "x_radius"),
     ("freiman_union", {"m_values": 3}, "m_values"),
     ("freiman_union", {"m_values": ["two"]}, "m_values"),
+    ("3k4", {"backend": "zd:1", "span": -3}, "span"),
+    ("3k4", {"sizes": []}, "sizes"),
+    ("freiman_union", {"m_values": []}, "m_values"),
+    ("atom_conjecture", {"backend": "zd:1", "span": 3, "n_max": 0}, "n_max"),
 ])
 def test_hunt_rejects_malformed_grid_naming_the_field(conjecture, grid, field):
     with pytest.raises(UsageError, match=f"'{field}'"):

@@ -327,6 +327,19 @@ def test_ball_cap(any_backend):
         any_backend.ball(-1)
 
 
+def test_ball_element_cap(monkeypatch):
+    from sumsetlab import groups
+
+    # free:2's radius-4 ball has 161 elements; a fresh backend has no cached balls
+    monkeypatch.setattr(groups, "BALL_ELEMENT_CAP", 100)
+    free2 = groups.FreeBackend(2)
+    assert len(free2.ball_keys(3)) == 53
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="100 elements"):
+            free2.ball_keys(4)
+    assert 4 not in free2._ball_cache
+
+
 # -- parsing and printing -------------------------------------------------------
 
 

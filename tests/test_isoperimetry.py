@@ -17,7 +17,7 @@ from sumsetlab.isoperimetry import (
     kappa_restricted,
     stability_scan,
 )
-from sumsetlab.setops import FiniteSubset
+from sumsetlab.setops import PRODUCT_TABLE_CAP, FiniteSubset
 
 
 def zset(z1, values):
@@ -239,6 +239,9 @@ def test_instance_validation(z1, klein):
         IsoInstance(C, 1, klein.ball(1))  # backend mismatch
     with pytest.raises(ResourceLimitError):
         kappa_restricted(IsoInstance(C, 1, zwindow(z1, -40, 40)))
+    # a 64-element window and |C| = 16385 number more than PRODUCT_TABLE_CAP products
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        kappa_restricted(IsoInstance(zset(z1, range(PRODUCT_TABLE_CAP // 64 + 1)), 1, zwindow(z1, -31, 32)))
 
 
 def test_fragments_intervals(z1):

@@ -23,7 +23,6 @@ from sumsetlab.laws import (
     check_main_theorem,
     check_ruzsa_dim,
     check_uvk,
-    empirical_c_lower,
     example_klein_grid,
     example_klein_union,
     klein_grid_sets,
@@ -412,18 +411,19 @@ def test_family_domain_errors():
     with pytest.raises(DomainError):
         example_klein_union(0)
     with pytest.raises(DomainError):
-        empirical_c_lower(0)
+        check_c_lower(0)
 
 
 def test_c_lower_witnesses():
-    w1 = empirical_c_lower(1)
-    assert (w1.m, w1.B_size, w1.deficiency) == (2, 4, 1)
-    w5 = empirical_c_lower(5)
-    assert (w5.m, w5.B_size, w5.deficiency) == (4, 16, 5)
+    w1 = check_c_lower(1).witness
+    assert (w1["m"], w1["B_size"], w1["deficiency"]) == (2, 4, 1)
+    w5 = check_c_lower(5).witness
+    assert (w5["m"], w5["B_size"], w5["deficiency"]) == (4, 16, 5)
     for k in range(1, 12):
-        w = empirical_c_lower(k)
-        assert w.deficiency == 2 * w.m - 3 <= k
-        assert check_c_lower(k).verdict == VERDICT_HOLDS
+        report = check_c_lower(k)
+        w = report.witness
+        assert w["deficiency"] == 2 * w["m"] - 3 <= k
+        assert report.verdict == VERDICT_HOLDS
 
 
 # -- corollary for A = B ----------------------------------------------------------------

@@ -118,22 +118,31 @@ def test_product_set_errors(z1, klein):
 def test_product_table_matches_product_size(any_backend):
     rng = random.Random(41)
     window = any_backend.ball(2)
-    table = ProductTable(window)
     n = len(window)
-    Bs = [tuple(sorted(rng.sample(range(n), rng.randint(1, 5)))) for _ in range(20)]
-    for _ in range(20):
-        A = tuple(sorted(rng.sample(range(n), rng.randint(1, 5))))
-        expected = [product_size(table.subset(A), table.subset(B)) for B in Bs]
-        assert table.product_sizes(A, Bs) == expected
-        assert [table.product_size(A, B) for B in Bs] == expected
-    assert table.subset((0, n - 1)).keys == (window.keys[0], window.keys[-1])
+
+    def right_subset(right, B):
+        return FiniteSubset._from_keys(any_backend, tuple(right.keys[j] for j in B))
+
+    # the square table, and a rectangular one against a random C
+    for right in (window, random_subset(random.Random(43), any_backend, 3, 7)):
+        table = ProductTable(window, right)
+        Bs = [tuple(sorted(rng.sample(range(len(right)), rng.randint(1, 5)))) for _ in range(20)]
+        for _ in range(20):
+            A = tuple(sorted(rng.sample(range(n), rng.randint(1, 5))))
+            expected = [product_size(table.subset(A), right_subset(right, B)) for B in Bs]
+            assert table.product_sizes(A, Bs) == expected
+            assert [table.product_size(A, B) for B in Bs] == expected
+        assert table.subset((0, n - 1)).keys == (window.keys[0], window.keys[-1])
 
 
 def test_product_table_cap(z1):
     side = int(PRODUCT_TABLE_CAP ** 0.5)
-    ProductTable(zset(z1, range(8)))
+    ProductTable(zset(z1, range(8)), zset(z1, range(8)))
+    big = zset(z1, range(side + 1))
     with pytest.raises(ResourceLimitError):
-        ProductTable(zset(z1, range(side + 1)))
+        ProductTable(big, big)
+    with pytest.raises(ResourceLimitError):
+        ProductTable(zset(z1, range(64)), zset(z1, range(PRODUCT_TABLE_CAP // 64 + 1)))
 
 
 def test_singleton_deficiency(any_backend):
