@@ -142,6 +142,8 @@ def load_config(path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"campaign config {path}: {exc.msg}", exc.lineno, exc.colno) from None
+        except UnicodeDecodeError:
+            raise ParseError(f"campaign config {path} is not UTF-8 text") from None
     if not isinstance(data, dict):
         raise ParseError(f"campaign config {path} is not a JSON object")
     return data
@@ -167,7 +169,8 @@ def sample_subset(rng: random.Random, backend: GroupBackend, radius: int, size: 
     ball = backend.ball_keys(radius)
     if size > len(ball):
         raise UsageError(f"cannot sample {size} elements from a ball of {len(ball)}")
-    return FiniteSubset.from_keys(backend, rng.sample(ball, size))
+    # ball keys are normal forms and rng.sample draws distinct ones
+    return FiniteSubset._from_keys(backend, tuple(sorted(rng.sample(ball, size))))
 
 
 @dataclass(frozen=True)
@@ -281,20 +284,23 @@ def write_records(path, records: list[dict]) -> None:
 def read_records(path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"record store {path}: {exc.msg}", lineno, exc.colno) from None
-            version = record.get("schema_version") if isinstance(record, dict) else None
-            if version != SCHEMA_VERSION:
-                raise ParseError(
-                    f"record store {path}: schema_version {version!r} is not {SCHEMA_VERSION}", lineno
-                )
-            records.append(record)
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"record store {path}: {exc.msg}", lineno, exc.colno) from None
+                version = record.get("schema_version") if isinstance(record, dict) else None
+                if version != SCHEMA_VERSION:
+                    raise ParseError(
+                        f"record store {path}: schema_version {version!r} is not {SCHEMA_VERSION}", lineno
+                    )
+                records.append(record)
+        except UnicodeDecodeError:
+            raise ParseError(f"record store {path} is not UTF-8 text") from None
     return records
 
 

@@ -18,6 +18,7 @@ Backends and their normal forms:
 
 from __future__ import annotations
 
+import operator
 import re
 from math import gcd
 from typing import Optional
@@ -296,7 +297,7 @@ class LatticeBackend(GroupBackend):
         self.identity_key = (0,) * dim
 
     def mul_key(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv_key(self, a):
         return tuple(-x for x in a)

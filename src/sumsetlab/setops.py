@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional
 
 from .errors import (
     DomainError,
+    ParseError,
     ResourceLimitError,
     UnsupportedOperationError,
     UsageError,
@@ -131,7 +132,11 @@ class FiniteSubset:
     @classmethod
     def from_file(cls, backend: GroupBackend, path) -> "FiniteSubset":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(backend, fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise ParseError(f"set file {path} is not UTF-8 text") from None
+        return cls.from_text(backend, text)
 
     def to_text(self) -> str:
         fmt = self.backend.format_key
@@ -458,21 +463,28 @@ def dimension(A: FiniteSubset) -> DimensionReport:
         raise UnsupportedOperationError("dimension is defined for lattice backends only")
     if len(A) == 0:
         raise DomainError("dimension of the empty set is undefined")
+    # fraction-free elimination: each reduced vector is a nonzero multiple of
+    # the one rational elimination gives, so pivots, rank and witness agree
     a0 = A.keys[0]
-    echelon: list[list[Fraction]] = []
+    full_rank = A.backend.dim
+    echelon: list[list[int]] = []
     pivots: list[int] = []
     witness: list[GroupElement] = []
     for key in A.keys[1:]:
-        vec = [Fraction(x - y) for x, y in zip(key, a0)]
+        vec = [x - y for x, y in zip(key, a0)]
         for row, pivot in zip(echelon, pivots):
-            if vec[pivot]:
-                factor = vec[pivot] / row[pivot]
-                vec = [v - factor * r for v, r in zip(vec, row)]
+            v = vec[pivot]
+            if v:
+                r = row[pivot]
+                vec = [r * x - v * y for x, y in zip(vec, row)]
         pivot = next((i for i, v in enumerate(vec) if v), None)
         if pivot is not None:
-            echelon.append(vec)
+            g = gcd(*vec)
+            echelon.append([x // g for x in vec])
             pivots.append(pivot)
             witness.append(A.backend.element(tuple(x - y for x, y in zip(key, a0))))
+            if len(echelon) == full_rank:
+                break  # no later key can raise the rank
     return DimensionReport(len(echelon), tuple(witness))
 
 

@@ -303,6 +303,38 @@ def test_report_non_json_store_line_is_a_parse_error(tmp_path, capsys):
     assert "parse error" in err and "line 3, column 1" in err
 
 
+NOT_UTF8 = b"\xff\xfe\x00"
+
+
+def test_set_file_not_utf8_exits_2(tmp_path, z_files, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    code, _, err = run_cli(capsys, "sumset", str(bad), z_files[1], "--group", "zd:1")
+    assert code == 2
+    assert err == f"parse error: set file {bad} is not UTF-8 text\n"
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "campaign.json"
+    bad.write_bytes(NOT_UTF8)
+    code, _, err = run_cli(capsys, "explore", "--config", str(bad))
+    assert code == 2
+    assert err == f"parse error: campaign config {bad} is not UTF-8 text\n"
+
+
+def test_record_store_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 1}))
+    store = tmp_path / "st.jsonl"
+    run_cli(capsys, "explore", "--config", str(config), "--out", str(store))
+    with open(store, "ab") as fh:
+        fh.write(NOT_UTF8)
+    code, out, err = run_cli(capsys, "report", "--run", str(store))
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: record store {store} is not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("name", ["N", "RADIUS", "K", "D", "M"])
 def test_bad_env_default_int_fails_only_its_subcommand(name, monkeypatch, z_files, capsys):
     monkeypatch.setenv(f"SUMSETLAB_{name}", "x")

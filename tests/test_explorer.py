@@ -1,6 +1,7 @@
 """Campaign execution, record persistence, hunts and extremal scans."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -281,6 +282,31 @@ def test_sample_subset_deterministic(z1):
     assert r1 == r2
     with pytest.raises(UsageError):
         sample_subset(_instance_rng(1, "zd:1", "x", 0), z1, 1, 99)
+
+
+@pytest.mark.parametrize("spec", BACKEND_SPECS)
+def test_sample_subset_equals_validated_construction(spec):
+    backend = backend_from_spec(spec)
+    ball = backend.ball_keys(3)
+    for seed in range(8):
+        for size in (1, 4, len(ball)):
+            drawn = sample_subset(_instance_rng(seed, spec, "x", size), backend, 3, size)
+            expected = FiniteSubset.from_keys(backend, _instance_rng(seed, spec, "x", size).sample(ball, size))
+            assert drawn == expected
+            for key in drawn.keys:
+                backend.check_key(key)
+
+
+DIMENSION_CAMPAIGN = Campaign(backends=("zd:2", "zd:3"), laws=("freiman_dim", "ruzsa_dim", "gardner_gronchi"),
+                              budget=20, radius=4)
+
+
+def test_dimension_law_records_are_pinned():
+    # the stream the rational-elimination dimension wrote; a faster dimension must keep every byte
+    records = run_campaign(DIMENSION_CAMPAIGN).records
+    stream = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    digest = hashlib.sha256(stream.encode("utf-8")).hexdigest()
+    assert digest == "7f0829e2411e7f633d56843607ededb873ad288c88f66ae80f87f396fd761eec"
 
 
 # -- extremal pairs -------------------------------------------------------------

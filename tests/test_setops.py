@@ -1,10 +1,13 @@
 """Set combinatorics: products, boundaries, progressions, covers, dimension."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UnsupportedOperationError, UsageError
+from sumsetlab.groups import backend_from_spec
 from sumsetlab.setops import (
     PRODUCT_TABLE_CAP,
     FiniteSubset,
@@ -435,8 +438,6 @@ def test_cover_by_two_progressions_klein_five_none(klein):
 
 
 def test_dimension_examples(z2):
-    from sumsetlab.groups import backend_from_spec
-
     z3 = backend_from_spec("zd:3")
     A = FiniteSubset.from_keys(z2, [(0, 0), (1, 0), (0, 1)])
     assert dimension(A).rank == 2
@@ -459,6 +460,81 @@ def test_dimension_monotone_under_products(z2):
         A = random_subset(rng, z2, 2, rng.randint(1, 5))
         B = random_subset(rng, z2, 2, rng.randint(1, 5))
         assert dimension(A).rank <= dimension(product_set(A, B)).rank
+
+
+def fraction_dimension_oracle(A):
+    """Rank and witness of rational Gaussian elimination over every difference a - a0."""
+    a0 = A.keys[0]
+    echelon, pivots, witness = [], [], []
+    for key in A.keys[1:]:
+        vec = [Fraction(x - y) for x, y in zip(key, a0)]
+        for row, pivot in zip(echelon, pivots):
+            if vec[pivot]:
+                factor = vec[pivot] / row[pivot]
+                vec = [v - factor * r for v, r in zip(vec, row)]
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is not None:
+            echelon.append(vec)
+            pivots.append(pivot)
+            witness.append(A.backend.element(tuple(x - y for x, y in zip(key, a0))))
+    return len(echelon), tuple(witness)
+
+
+DIMENSION_SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+LATTICES = {d: backend_from_spec(f"zd:{d}") for d in range(1, 7)}
+
+
+@st.composite
+def sublattice_sets(draw):
+    """Points a0 + sum c_i g_i on a random sublattice of rank 0..d."""
+    d = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, d))
+    coord = st.integers(-4, 4)
+    gens = [draw(st.lists(coord, min_size=d, max_size=d)) for _ in range(rank)]
+    a0 = draw(st.lists(coord, min_size=d, max_size=d))
+    points = [a0]
+    for _ in range(draw(st.integers(0, 12))):
+        coeffs = [draw(st.integers(-3, 3)) for _ in gens]
+        points.append([x + sum(c * g[i] for c, g in zip(coeffs, gens)) for i, x in enumerate(a0)])
+    return FiniteSubset.from_keys(LATTICES[d], [tuple(p) for p in points])
+
+
+@st.composite
+def wide_sets(draw):
+    """Arbitrary points with coordinates up to 10^6."""
+    d = draw(st.integers(1, 6))
+    point = st.tuples(*[st.integers(-10**6, 10**6)] * d)
+    return FiniteSubset.from_keys(LATTICES[d], draw(st.lists(point, min_size=1, max_size=12)))
+
+
+@st.composite
+def early_full_rank_sets(draw):
+    """a0, then a0 + c_i e_i for i = d..1, then later keys: rank d is reached before them."""
+    d = draw(st.integers(1, 6))
+    a0 = draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d))
+    steps = [draw(st.integers(1, 50)) for _ in range(d)]
+    points = [tuple(a0)]
+    for i in reversed(range(d)):
+        points.append(tuple(x + (steps[i] if j == i else 0) for j, x in enumerate(a0)))
+    first = a0[0] + steps[0] + 1
+    tail = st.tuples(st.integers(first, first + 20), *[st.integers(-10**3, 10**3)] * (d - 1))
+    points += draw(st.lists(tail, min_size=1, max_size=20))
+    A = FiniteSubset.from_keys(LATTICES[d], points)
+    assert A.keys[: d + 1] == tuple(sorted(points[: d + 1]))
+    return A
+
+
+@pytest.mark.parametrize("sets", [sublattice_sets(), wide_sets(), early_full_rank_sets()],
+                         ids=["sublattice", "wide", "early_full_rank"])
+def test_dimension_matches_fraction_elimination(sets):
+    @DIMENSION_SETTINGS
+    @given(sets)
+    def check(A):
+        rank, basis = fraction_dimension_oracle(A)
+        report = dimension(A)
+        assert (report.rank, report.basis) == (rank, basis)
+
+    check()
 
 
 # -- cyclic hull -----------------------------------------------------------------------
