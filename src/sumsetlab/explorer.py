@@ -118,21 +118,26 @@ class Campaign:
 
 
 def _int_field(data: dict, name: str, default, where: str):
-    """data[name] as an integer, or as integers where the default is a tuple.
+    """data[name] as an integer, or as a tuple of integers where the default is a tuple.
 
-    An absent field reads as the default; a malformed one is a UsageError naming it.
+    An absent field reads as the default. Only int values count as integers:
+    a bool, float or string is a UsageError naming the field, as is a
+    scalar where a list belongs.
     """
     if name not in data:
         return default
     value = data[name]
-    try:
-        if not isinstance(default, tuple):
-            return int(value)
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"{value!r} is not a list")
-        return tuple(int(x) for x in value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{where} field {name!r} needs integers: {exc}") from None
+    if not isinstance(default, tuple):
+        if not _is_int(value):
+            raise UsageError(f"{where} field {name!r} needs an integer, got {value!r}")
+        return value
+    if not (isinstance(value, (list, tuple)) and all(_is_int(x) for x in value)):
+        raise UsageError(f"{where} field {name!r} needs a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path) -> dict:

@@ -112,11 +112,17 @@ class GroupBackend:
 
     def __init__(self):
         self._ball_cache: dict[int, tuple] = {}
+        self._labels: dict[tuple, str] = {}
 
     # -- key-level arithmetic -------------------------------------------
 
     def mul_key(self, a: tuple, b: tuple) -> tuple:
         raise NotImplementedError
+
+    def product_keys(self, A_keys, B_keys) -> set:
+        """The set {a b : a in A_keys, b in B_keys}; backends inline their law here."""
+        mul = self.mul_key
+        return {mul(a, b) for a in A_keys for b in B_keys}
 
     def inv_key(self, a: tuple) -> tuple:
         raise NotImplementedError
@@ -148,6 +154,22 @@ class GroupBackend:
 
     def format_key(self, key: tuple) -> str:
         raise NotImplementedError
+
+    def format_keys(self, keys) -> list[str]:
+        """format_key of each key, remembered for the first BALL_ELEMENT_CAP keys seen.
+
+        Threads that share the backend can at worst format one key twice.
+        """
+        labels = self._labels
+        out = []
+        for k in keys:
+            label = labels.get(k)
+            if label is None:
+                label = self.format_key(k)
+                if len(labels) < BALL_ELEMENT_CAP:
+                    labels[k] = label
+            out.append(label)
+        return out
 
     def check_key(self, key: tuple) -> None:
         """Reject keys that are not normal forms of this backend."""
@@ -299,6 +321,12 @@ class LatticeBackend(GroupBackend):
     def mul_key(self, a, b):
         return tuple(map(operator.add, a, b))
 
+    def product_keys(self, A_keys, B_keys):
+        # an inline form measured no faster than the generic one outside Z^2
+        if self.dim != 2:
+            return super().product_keys(A_keys, B_keys)
+        return {(x + u, y + v) for x, y in A_keys for u, v in B_keys}
+
     def inv_key(self, a):
         return tuple(-x for x in a)
 
@@ -363,6 +391,13 @@ class FreeBackend(GroupBackend):
             i -= 1
             j += 1
         return a[:i] + b[j:]
+
+    def product_keys(self, A_keys, B_keys):
+        # a b is the concatenation a + b unless b starts with the inverse of a's
+        # last letter; 0 is no letter, so the empty word a never cancels
+        mul = self.mul_key
+        tails = [(a, -a[-1] if a else 0) for a in A_keys]
+        return {a + b if not b or b[0] != t else mul(a, b) for a, t in tails for b in B_keys}
 
     def inv_key(self, a):
         return tuple(-x for x in reversed(a))
@@ -457,6 +492,9 @@ class KleinBackend(GroupBackend):
         c, d = y
         return (a + c, (b if c % 2 == 0 else -b) + d)
 
+    def product_keys(self, A_keys, B_keys):
+        return {(a + c, d - b if c & 1 else b + d) for a, b in A_keys for c, d in B_keys}
+
     def inv_key(self, x):
         a, b = x
         return (-a, -b if a % 2 == 0 else b)
@@ -532,6 +570,9 @@ class HeisenbergBackend(GroupBackend):
         x1, y1, z1 = p
         x2, y2, z2 = q
         return (x1 + x2, y1 + y2, z1 + z2 + x1 * y2)
+
+    def product_keys(self, A_keys, B_keys):
+        return {(x1 + x2, y1 + y2, z1 + z2 + x1 * y2) for x1, y1, z1 in A_keys for x2, y2, z2 in B_keys}
 
     def inv_key(self, p):
         x, y, z = p

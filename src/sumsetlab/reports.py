@@ -57,7 +57,7 @@ def subset_payload(S) -> dict:
     """JSON-able payload for a FiniteSubset (backend spec + printed elements)."""
     return {
         "backend": S.backend.spec,
-        "elements": [S.backend.format_key(k) for k in S.keys],
+        "elements": S.backend.format_keys(S.keys),
     }
 
 

@@ -166,16 +166,13 @@ def _check_element(S: FiniteSubset, g: GroupElement) -> None:
 def product_set(A: FiniteSubset, B: FiniteSubset) -> FiniteSubset:
     """The set AB = {a b : a in A, b in B}."""
     _check_nonempty_pair(A, B)
-    mul = A.backend.mul_key
-    keys = {mul(a, b) for a in A.keys for b in B.keys}
-    return FiniteSubset._from_keys(A.backend, tuple(sorted(keys)))
+    return FiniteSubset._from_keys(A.backend, tuple(sorted(A.backend.product_keys(A.keys, B.keys))))
 
 
 def product_size(A: FiniteSubset, B: FiniteSubset) -> int:
     """|AB| without materializing the product set."""
     _check_nonempty_pair(A, B)
-    mul = A.backend.mul_key
-    return len({mul(a, b) for a in A.keys for b in B.keys})
+    return len(A.backend.product_keys(A.keys, B.keys))
 
 
 def deficiency(A: FiniteSubset, B: FiniteSubset) -> int:

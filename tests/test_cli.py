@@ -335,6 +335,26 @@ def test_record_store_not_utf8_exits_2(tmp_path, capsys):
     assert err == f"parse error: record store {store} is not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("field, text", [
+    ("seed", "1e400"),
+    ("sizes", "[1.5, 2.7]"),
+    ("budget", "true"),
+    ("radius", "2.9"),
+    ("budget", '"5"'),
+    ("radius", "2.0"),
+])
+def test_explore_config_non_int_field_exits_2(field, text, tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text('{"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 1, '
+                      f'"{field}": {text}}}')
+    store = tmp_path / "st.jsonl"
+    code, out, err = run_cli(capsys, "explore", "--config", str(config), "--out", str(store))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: campaign field '{field}' needs ")
+    assert not store.exists()
+
+
 @pytest.mark.parametrize("name", ["N", "RADIUS", "K", "D", "M"])
 def test_bad_env_default_int_fails_only_its_subcommand(name, monkeypatch, z_files, capsys):
     monkeypatch.setenv(f"SUMSETLAB_{name}", "x")

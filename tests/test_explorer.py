@@ -114,6 +114,22 @@ def test_campaign_from_dict_names_a_malformed_field(field, value):
         Campaign.from_dict({"backends": ["zd:1"], "laws": ["kempermann"], field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", float("inf")),
+    ("sizes", [1.5, 2.7]),
+    ("budget", True),
+    ("radius", 2.9),
+    ("budget", "5"),
+    ("radius", 2.0),
+    ("sizes", [2, 6.0]),
+    ("n_values", [True, 2]),
+])
+def test_campaign_from_dict_rejects_non_int_numbers(field, value):
+    # a float, bool or numeric string is never read as the integer it would truncate to
+    with pytest.raises(UsageError, match=f"'{field}'"):
+        Campaign.from_dict({"backends": ["klein"], "laws": ["uvk"], field: value})
+
+
 def test_campaign_config_round_trip(tmp_path):
     config = {
         "schema_version": 1,
@@ -309,6 +325,21 @@ def test_dimension_law_records_are_pinned():
     assert digest == "7f0829e2411e7f633d56843607ededb873ad288c88f66ae80f87f396fd761eec"
 
 
+PRODUCT_LAW_CAMPAIGN = Campaign(backends=("zd:2", "klein", "heis", "free:2"),
+                               laws=("kempermann", "hls", "3k4", "main_theorem", "uvk", "corollary_ab"),
+                               budget=10, radius=3, sizes=(2, 12))
+
+
+def test_product_law_records_are_pinned():
+    # the stream that mul_key set comprehensions and uncached labels wrote; the
+    # product_keys kernels and the label memo must keep every byte
+    records = run_campaign(PRODUCT_LAW_CAMPAIGN).records
+    stream = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    digest = hashlib.sha256(stream.encode("utf-8")).hexdigest()
+    assert len(records) == 240
+    assert digest == "da8c435980abb5f3215c7b2290b698ef35b5505a48f34df1fdafbf9e25e6afa3"
+
+
 # -- extremal pairs -------------------------------------------------------------
 
 
@@ -479,6 +510,14 @@ def test_hunt_freiman_union_family():
     ("3k4", {"sizes": []}, "sizes"),
     ("freiman_union", {"m_values": []}, "m_values"),
     ("atom_conjecture", {"backend": "zd:1", "span": 3, "n_max": 0}, "n_max"),
+    ("3k4", {"backend": "zd:1", "span": 3.7}, "span"),
+    ("3k4", {"backend": "zd:1", "span": 3.0}, "span"),
+    ("3k4", {"sizes": [4.0, 5]}, "sizes"),
+    ("3k4", {"radius": 2.9}, "radius"),
+    ("3k4", {"radius": True}, "radius"),
+    ("atom_conjecture", {"backend": "zd:1", "span": 2, "n_max": "2"}, "n_max"),
+    ("atom_conjecture", {"backend": "zd:1", "span": 2, "x_radius": float("inf")}, "x_radius"),
+    ("freiman_union", {"m_values": [1, True]}, "m_values"),
 ])
 def test_hunt_rejects_malformed_grid_naming_the_field(conjecture, grid, field):
     with pytest.raises(UsageError, match=f"'{field}'"):

@@ -1,11 +1,14 @@
 """Backend arithmetic: normal forms, roots, cyclic membership, balls."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UsageError
-from sumsetlab.groups import backend_from_spec
+from sumsetlab.groups import FreeBackend, backend_from_spec
+from sumsetlab.setops import FiniteSubset, product_set, product_size
 
 
 # -- oracles ---------------------------------------------------------------
@@ -338,6 +341,57 @@ def test_ball_element_cap(monkeypatch):
         with pytest.raises(ResourceLimitError, match="100 elements"):
             free2.ball_keys(4)
     assert 4 not in free2._ball_cache
+
+
+# -- product kernels -------------------------------------------------------------
+
+KERNEL_SPECS = ("zd:1", "zd:2", "zd:3", "klein", "heis", "free:2", "free:3")
+
+
+def element_keys(backend):
+    """Normal forms of a backend: small coordinates, or reduced words of up to 6 letters."""
+    if isinstance(backend, FreeBackend):
+        letters = [i for i in range(-backend.rank, backend.rank + 1) if i]
+        return st.lists(st.sampled_from(letters), max_size=6).map(
+            lambda word: functools.reduce(backend.mul_key, [(x,) for x in word], ()))
+    arity = len(backend.identity_key)
+    return st.tuples(*[st.integers(-9, 9)] * arity)
+
+
+def assert_products_match_mul_key(backend, A, B):
+    mul = backend.mul_key
+    expected = {mul(a, b) for a in A for b in B}
+    assert backend.product_keys(A, B) == expected
+    SA, SB = FiniteSubset.from_keys(backend, A), FiniteSubset.from_keys(backend, B)
+    assert product_set(SA, SB).keys == tuple(sorted(expected))
+    assert product_size(SA, SB) == len(expected)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(KERNEL_SPECS))
+def test_product_keys_matches_mul_key(spec, data):
+    backend = backend_from_spec(spec)
+    A = data.draw(st.lists(element_keys(backend), min_size=1, max_size=10, unique=True))
+    B = data.draw(st.lists(element_keys(backend), max_size=10, unique=True))
+    # the identity, and inverses of A so some products cancel to the identity
+    B = list(dict.fromkeys(B + [backend.identity_key] + [backend.inv_key(a) for a in A[:3]]))
+    assert_products_match_mul_key(backend, A, B)
+    assert_products_match_mul_key(backend, B, A)
+
+
+@pytest.mark.parametrize("spec, A, B", [
+    # odd negative u-exponents flip the v-exponent, even ones keep it
+    ("klein", [(-3, 2), (-1, -5), (0, 0), (2, 7)], [(-1, 4), (-3, -2), (-2, 1), (0, 0)]),
+    # w w^-1 cancels completely, and partial cancellation leaves a short word
+    ("free:2", [(1, 2, -1), (2,), (), (-1, -1)], [(1, -2, -1), (-2, 1), (1, 1), (-2,)]),
+    ("free:3", [(3, -2, 1), (-3,)], [(-1, 2, -3), (3, 3), ()]),
+    ("zd:3", [(0, 0, 0), (-4, 2, 9)], [(4, -2, -9), (1, 1, 1)]),
+    ("heis", [(-2, 3, -1), (1, -1, 5)], [(2, -3, -5), (-1, 1, -6), (0, 0, 0)]),
+])
+def test_product_keys_edge_cases(spec, A, B):
+    backend = backend_from_spec(spec)
+    assert_products_match_mul_key(backend, A, B)
+    assert backend.identity_key in backend.product_keys(A, B)
 
 
 # -- parsing and printing -------------------------------------------------------

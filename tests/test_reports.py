@@ -2,6 +2,7 @@
 
 import json
 
+from sumsetlab import groups
 from sumsetlab.groups import backend_from_spec
 from sumsetlab.reports import (
     LawReport,
@@ -18,6 +19,25 @@ def test_subset_payload_round_trip(any_backend):
     assert subset_from_payload(payload) == S
     # payloads are JSON-able as-is
     assert subset_from_payload(json.loads(json.dumps(payload))) == S
+
+
+def test_subset_payload_labels_are_format_key(any_backend):
+    S = any_backend.ball(3)
+    expected = [any_backend.format_key(k) for k in S.keys]
+    # the second payload reads every label from the backend's memo
+    for _ in range(2):
+        assert subset_payload(S)["elements"] == expected
+    assert subset_payload(S)["elements"] is not subset_payload(S)["elements"]
+
+
+def test_label_memo_stops_growing_at_the_ball_element_cap(monkeypatch):
+    backend = groups.LatticeBackend(2)
+    S = backend.ball(2)
+    monkeypatch.setattr(groups, "BALL_ELEMENT_CAP", 5)
+    expected = [backend.format_key(k) for k in S.keys]
+    for _ in range(2):
+        assert subset_payload(S)["elements"] == expected
+    assert list(backend._labels) == list(S.keys[:5])
 
 
 def test_law_report_dict_round_trip():
