@@ -60,6 +60,11 @@ class Campaign:
     iso_radius: int = 3
 
     def __post_init__(self):
+        # every field with a default is an integer or a tuple of integers
+        for f in dataclasses.fields(self):
+            if f.default is not dataclasses.MISSING:
+                value = _int_value(getattr(self, f.name), f.default, f"campaign field {f.name!r}")
+                object.__setattr__(self, f.name, value)
         for spec in self.backends:
             backend_from_spec(spec)
         unknown = [law for law in self.laws if law not in LAW_IDS]
@@ -107,9 +112,8 @@ class Campaign:
             laws = [laws]
         if not laws:
             raise UsageError("campaign config needs at least one law")
-        # every field with a default is an integer or a tuple of integers
-        kwargs = {f.name: _int_field(data, f.name, f.default, "campaign")
-                  for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+        kwargs = {f.name: data[f.name] for f in dataclasses.fields(cls)
+                  if f.default is not dataclasses.MISSING and f.name in data}
         return cls(backends=tuple(backends), laws=tuple(laws), **kwargs)
 
     @classmethod
@@ -118,21 +122,22 @@ class Campaign:
 
 
 def _int_field(data: dict, name: str, default, where: str):
-    """data[name] as an integer, or as a tuple of integers where the default is a tuple.
+    """data[name] as _int_value reads it; an absent field reads as the default."""
+    return _int_value(data[name], default, f"{where} field {name!r}") if name in data else default
 
-    An absent field reads as the default. Only int values count as integers:
-    a bool, float or string is a UsageError naming the field, as is a
-    scalar where a list belongs.
+
+def _int_value(value, default, what: str):
+    """value as an integer, or as a tuple of integers where the default is a tuple.
+
+    Only int values count as integers: a bool, float or string is a
+    UsageError naming `what`, as is a scalar where a list belongs.
     """
-    if name not in data:
-        return default
-    value = data[name]
     if not isinstance(default, tuple):
         if not _is_int(value):
-            raise UsageError(f"{where} field {name!r} needs an integer, got {value!r}")
+            raise UsageError(f"{what} needs an integer, got {value!r}")
         return value
     if not (isinstance(value, (list, tuple)) and all(_is_int(x) for x in value)):
-        raise UsageError(f"{where} field {name!r} needs a list of integers, got {value!r}")
+        raise UsageError(f"{what} needs a list of integers, got {value!r}")
     return tuple(value)
 
 

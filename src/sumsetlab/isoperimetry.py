@@ -66,10 +66,11 @@ class _Search:
     The products window*C are numbered once by a ProductTable, so XC is an
     int bitmask: each candidate has a row mask, a child's mask is its
     parent's OR its row, and |XC| is the mask's popcount. Two admissible
-    bounds prune subtrees that cannot tie the incumbent: adding one element
-    lowers the objective by at most 1, and for every fixed c in C the map
-    x -> x*c is injective, so the reduction is at most the number of
-    undecided candidates whose c-product already lies in XC,
+    bounds prune subtrees that cannot tie the incumbent, or, past the
+    atoms once the fragment sample is full, cannot beat it: adding one
+    element lowers the objective by at most 1, and for every fixed c in C
+    the map x -> x*c is injective, so the reduction is at most the number
+    of undecided candidates whose c-product already lies in XC,
     popcount(mask & suffix_c[i]).
     """
 
@@ -109,46 +110,52 @@ class _Search:
     def run(self, global_lower: int, fragment_limit: int) -> tuple[int, list, list]:
         """The value, its minimum-size minimizers and its first minimizers in preorder.
 
-        Once the value is certified and the fragment sample is full, only
-        smaller atoms can still change the outputs, so a node at least as
-        large as the current atoms is not expanded.
+        Once the fragment sample is full, a node at least as large as the
+        current atoms (the cutoff) has only larger descendants, so they can
+        change the outputs only through a strictly smaller value: there the
+        bounds prune every subtree that cannot beat the incumbent, and a
+        certified value stops the expansion.
         """
         cands, rows, suffix, n = self.cands, self.rows, self.suffix, self.n
         total = len(cands)
         best = self.greedy_upper()
         atoms: list[tuple] = []
         fragments: list[tuple] = []
-        chosen = [self.id_key]
+        cutoff = total + 2  # larger than every node until the sample is full
 
-        def node(i: int, mask: int, size: int) -> None:
-            nonlocal best, atoms, fragments
+        def node(i: int, mask: int, size: int, X: tuple) -> None:
+            nonlocal best, atoms, fragments, cutoff
             remaining = total - i
             if size + remaining < n:
                 return
             obj = mask.bit_count() - size
             if size >= n and obj <= best:
-                X = tuple(sorted(chosen))
+                key = tuple(sorted(X))
                 if obj < best:
                     best, atoms, fragments = obj, [], []
                 if not atoms or size < len(atoms[0]):
-                    atoms = [X]
+                    atoms = [key]
                 elif size == len(atoms[0]):
-                    atoms.append(X)
+                    atoms.append(key)
                 if len(fragments) < fragment_limit:
-                    fragments.append(X)
-            if obj - remaining > best:
-                return
-            if obj > best and any((mask & s).bit_count() < obj - best for s in suffix[i]):
-                return
-            if (best == global_lower and len(fragments) >= fragment_limit
-                    and atoms and size >= len(atoms[0])):
-                return
+                    fragments.append(key)
+                cutoff = len(atoms[0]) if len(fragments) >= fragment_limit else total + 2
+            if size >= cutoff:
+                if best == global_lower:
+                    return
+                gap = obj - best + 1
+            else:
+                gap = obj - best
+            if gap > 0:
+                if remaining < gap:
+                    return
+                for s in suffix[i]:
+                    if (mask & s).bit_count() < gap:
+                        return
             for j in range(i, total):
-                chosen.append(cands[j])
-                node(j + 1, mask | rows[j], size + 1)
-                chosen.pop()
+                node(j + 1, mask | rows[j], size + 1, X + (cands[j],))
 
-        node(0, self.root, 1)
+        node(0, self.root, 1, (self.id_key,))
         return best, atoms, fragments
 
 

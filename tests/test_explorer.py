@@ -130,6 +130,24 @@ def test_campaign_from_dict_rejects_non_int_numbers(field, value):
         Campaign.from_dict({"backends": ["klein"], "laws": ["uvk"], field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("radius", 2.5),
+    ("budget", True),
+    ("sizes", (1, 2.5)),
+    ("n_values", [2, False]),
+])
+def test_campaign_constructor_rejects_non_int_numbers(field, value):
+    # built from Python, a campaign gets the same check as from a config file
+    with pytest.raises(UsageError, match=f"^campaign field '{field}' needs "):
+        Campaign(backends=("zd:1",), laws=("kempermann",), **{field: value})
+
+
+def test_campaign_constructor_reads_lists_as_tuples():
+    campaign = Campaign(backends=("zd:2", "klein"), laws=("kempermann", "equality"), seed=5, sizes=[2, 6])
+    assert campaign == IDENTITY_CAMPAIGN
+    assert campaign.hash() == "abe6a1cb03e91088"
+
+
 def test_campaign_config_round_trip(tmp_path):
     config = {
         "schema_version": 1,

@@ -1,11 +1,14 @@
 """Restricted isoperimetric search against full subset enumeration."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from sumsetlab.errors import ResourceLimitError, UsageError
+from sumsetlab.groups import backend_from_spec
 from sumsetlab.isoperimetry import (
     CERTIFIED_EXACT,
     FRAGMENT_SAMPLE_LIMIT,
@@ -165,6 +168,65 @@ def test_kappa_matches_brute_force_random_windows(any_backend):
         assert [F.keys for F in result.fragments_sample] == preorder[:FRAGMENT_SAMPLE_LIMIT]
         frags = enumerate_fragments(IsoInstance(C, n, window), 10_000)
         assert sorted(F.keys for F in frags) == sorted(minimizers)
+
+
+@pytest.mark.parametrize("fragment_limit", [0, 1, 2, FRAGMENT_SAMPLE_LIMIT])
+def test_kappa_matches_brute_force_at_every_fragment_limit(any_backend, fragment_limit):
+    # a small limit fills the sample early, so the search runs past the
+    # atoms with the strict cutoff on most of its nodes; with n >= 2 and
+    # |C| >= 3 most values stay above |C| - 1, where nothing else stops it
+    rng = random.Random(f"limits:{any_backend.spec}:{fragment_limit}")
+    radius = next(r for r in itertools.count(3) if len(any_backend.ball_keys(r)) > 20)
+    ball = [k for k in any_backend.ball_keys(radius) if k != any_backend.identity_key]
+    certified = 0
+    for _ in range(6):
+        wkeys = [any_backend.identity_key] + rng.sample(ball, rng.randint(9, 11))
+        window = FiniteSubset.from_keys(any_backend, wkeys)
+        C = FiniteSubset.from_keys(any_backend, rng.sample(any_backend.ball_keys(2), rng.randint(3, 5)))
+        n = rng.randint(2, 4)
+        result = kappa_restricted(IsoInstance(C, n, window), fragment_limit)
+        value, minimizers, atoms = brute_force_constrained(C, n, window)
+        assert result.kappa_hat == value
+        assert [U.keys for U in result.atoms] == atoms
+        preorder = preorder_minimizers(C, n, window, minimizers)
+        assert [F.keys for F in result.fragments_sample] == preorder[:fragment_limit]
+        certified += result.certificate == CERTIFIED_EXACT
+    assert certified <= 3
+
+
+def test_strict_cutoff_finds_an_improvement_by_one(z2):
+    # the incumbent starts at 3 and a small sample fills with value-3 sets;
+    # the first value-2 minimizer in preorder, a 7-element set, lies below
+    # nodes past their atoms, and a cutoff that asked for an improvement of
+    # 2 there would drop it from the sample
+    window = FiniteSubset.from_keys(z2, [
+        (-3, 0), (-2, -1), (-2, 0), (-2, 1), (-1, -2), (-1, -1), (-1, 0), (-1, 2), (0, -3), (0, -2), (0, -1),
+        (0, 0), (0, 3), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1), (3, 0)])
+    inst = IsoInstance(FiniteSubset.from_keys(z2, [(-1, 0), (-1, 1)]), 6, window)
+    every = kappa_restricted(inst, 10_000)  # a sample that never fills
+    assert every.kappa_hat == 2 and len(every.fragments_sample) == 28
+    assert len(every.fragments_sample[0]) == 7
+    for limit in (0, 1, 2, 3):
+        result = kappa_restricted(inst, limit)
+        assert (result.kappa_hat, result.atoms) == (every.kappa_hat, every.atoms)
+        assert result.fragments_sample == every.fragments_sample[:limit]
+
+
+def test_kappa_outputs_are_pinned():
+    # the outputs the search wrote before the strict cutoff; zd:2 ball(4)
+    # has 41 elements, above ENUM_WINDOW_CAP, so it pins the fragment-free path
+    rng = random.Random("kappa-pin")
+    rows = []
+    for spec, radius in (("zd:2", 3), ("zd:2", 4), ("klein", 2), ("heis", 2), ("free:2", 2)):
+        backend = backend_from_spec(spec)
+        window, pool = backend.ball(radius), backend.ball_keys(2)
+        for n, size, _ in itertools.product((2, 3), (3, 4), range(4)):
+            C = FiniteSubset.from_keys(backend, rng.sample(pool, size))
+            r = kappa_restricted(IsoInstance(C, n, window))
+            rows.append([r.kappa_hat, r.certificate, [U.keys for U in r.atoms], [F.keys for F in r.fragments_sample]])
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert len(rows) == 80
+    assert digest == "d2a69f630e2ca54dbcea0c32e5f6520cfdf22bd609a72ae5a0278d83c4dc9124"
 
 
 def test_certified_n1_ties_keep_search_order(z1):
