@@ -41,8 +41,15 @@ def _env_default(name: str):
     return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"),
+def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:
+    def format_name(value: str) -> str:
+        # argparse checks choices only on the command line, but it passes a
+        # string default, such as SUMSETLAB_FORMAT, through type
+        if value not in formats:
+            raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {', '.join(formats)})")
+        return value
+
+    parser.add_argument("--format", type=format_name, metavar="{" + ",".join(formats) + "}",
                         default=_env_default("format") or "text")
     parser.add_argument("--out", default=_env_default("out"))
 
@@ -259,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize a record store as a table")
     p.add_argument("--run", required=True, help="path to a records JSONL file")
-    _add_common(p)
+    # the text table is comma-separated, so csv names it too
+    _add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_report)
 
     return parser

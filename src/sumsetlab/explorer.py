@@ -183,16 +183,22 @@ def sample_subset(rng: random.Random, backend: GroupBackend, radius: int, size: 
     return FiniteSubset._from_keys(backend, tuple(sorted(rng.sample(ball, size))))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Draw:
-    """Seeded uniform subsets of the radius ball, sized within [lo, hi]."""
+    """Seeded uniform subsets of the radius ball, sized within [lo, hi].
+
+    The instance rng is created from ``rng_key``, (seed, backend, law,
+    index), when the first set is drawn; a draw whose rng is still None
+    did not depend on the index.
+    """
 
     backend: GroupBackend
-    rng: random.Random
+    rng_key: tuple
     radius: int
     iso_radius: int
     lo: int
     hi: int
+    rng: random.Random | None = None
 
     def too_small(self, min_size: int) -> str | None:
         """Why no subset of at least `min_size` elements can be drawn, or None."""
@@ -204,6 +210,8 @@ class _Draw:
     def subset(self, min_size: int = 1, max_size: int | None = None) -> FiniteSubset:
         lo = max(self.lo, min_size)
         hi = max(self.hi, lo) if max_size is None else min(self.hi, max_size)
+        if self.rng is None:
+            self.rng = _instance_rng(*self.rng_key)
         return sample_subset(self.rng, self.backend, self.radius, self.rng.randint(lo, hi))
 
 
@@ -211,9 +219,16 @@ def _skip(law: str, detail: str) -> list[LawReport]:
     return [LawReport(law, VERDICT_SKIPPED, None, {}, detail)]
 
 
-def _run_law_instance(c: Campaign, backend_spec: str, law_id: str, index: int) -> list[LawReport]:
+def _run_law_instance(c: Campaign, backend_spec: str, law_id: str, index: int,
+                      memo: dict | None = None) -> list[LawReport]:
+    """The reports of one instance.
+
+    An instance whose draw never created the rng depends on its index only
+    through the grid parameters. With a memo, its reports are stored under
+    (backend, law, params) and returned for every later index with the
+    same parameters.
+    """
     backend = backend_from_spec(backend_spec)
-    rng = _instance_rng(c.seed, backend_spec, law_id, index)
     hi = min(c.sizes[1], len(backend.ball_keys(c.radius)))
     law = LAWS[law_id]
     detail = law.skip(backend)
@@ -221,11 +236,16 @@ def _run_law_instance(c: Campaign, backend_spec: str, law_id: str, index: int) -
         return _skip(law_id, detail)
     grids = {"n": c.n_values, "k": c.k_values, "d": c.d_values, "m": c.m_values}
     params = {p: grids[p][index % len(grids[p])] for p in law.params if p in grids}
-    draw = _Draw(backend, rng, c.radius, c.iso_radius, min(c.sizes[0], hi), hi)
+    key = (backend_spec, law_id, *params.values())
+    if memo is not None and key in memo:
+        return memo[key]
+    draw = _Draw(backend, (c.seed, backend_spec, law_id, index), c.radius, c.iso_radius,
+                 min(c.sizes[0], hi), hi)
     drawn = law.sample(draw, params) if law.sample else {name: draw.subset() for name in law.sets}
-    if isinstance(drawn, str):
-        return _skip(law_id, drawn)
-    return law.run(**params, **drawn)
+    reports = _skip(law_id, drawn) if isinstance(drawn, str) else law.run(**params, **drawn)
+    if memo is not None and draw.rng is None:
+        memo[key] = reports
+    return reports
 
 
 def _record_sort_key(record: dict):
@@ -236,16 +256,13 @@ def run_campaign(c: Campaign, store_path=None) -> RunRecord:
     """Execute all instances; deterministic for a fixed seed at any job count."""
     start = time.perf_counter()
     campaign_hash = c.hash()
-    tasks = [
-        (backend, law, index)
-        for backend in c.backends
-        for law in c.laws
-        for index in range(c.budget)
-    ]
+    cells = [(backend, law) for backend in c.backends for law in c.laws]
 
-    def work(task):
-        backend, law, index = task
-        reports = _run_law_instance(c, backend, law, index)
+    def work(cell):
+        # a cell runs its indices in order with its own memo, so an instance
+        # that needs no rng is computed once however many jobs run
+        backend, law = cell
+        memo: dict = {}
         return [
             {
                 "schema_version": SCHEMA_VERSION,
@@ -256,14 +273,15 @@ def run_campaign(c: Campaign, store_path=None) -> RunRecord:
                 "sub": sub,
                 "report": report.to_dict(),
             }
-            for sub, report in enumerate(reports)
+            for index in range(c.budget)
+            for sub, report in enumerate(_run_law_instance(c, backend, law, index, memo))
         ]
 
     if c.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=c.jobs) as pool:
-            chunks = list(pool.map(work, tasks))
+            chunks = list(pool.map(work, cells))
     else:
-        chunks = [work(task) for task in tasks]
+        chunks = [work(cell) for cell in cells]
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=_record_sort_key)
 
@@ -349,12 +367,12 @@ def extremal_pairs(window: FiniteSubset, size_a: int, size_b: int):
     if grid > EXTREMAL_PAIR_CAP:
         raise ResourceLimitError(f"{grid} pairs exceed the enumeration cap {EXTREMAL_PAIR_CAP}")
     table = ProductTable(window, window)
-    combos_a = list(itertools.combinations(range(len(window)), size_a))
-    combos_b = list(itertools.combinations(range(len(window)), size_b))
     best = None
     out: list[tuple[tuple, tuple, int]] = []
-    for ia in combos_a:
-        for ib, size_ab in zip(combos_b, table.product_sizes(ia, combos_b)):
+    for ia in itertools.combinations(range(len(window)), size_a):
+        # a B whose deficiency exceeds the best so far is never yielded
+        bound = math.inf if best is None else best + size_a
+        for ib, size_ab in table.small_products(ia, size_b, size_b, bound):
             dfc = size_ab - size_a - size_b
             if best is None or dfc < best:
                 best = dfc

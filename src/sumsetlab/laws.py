@@ -156,21 +156,26 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     table = ProductTable(window, window)
     combos = [combo for size in range(lo, hi + 1)
               for combo in itertools.combinations(range(len(elems)), size)]
-    sets = [table.subset(combo) for combo in combos]
-    ratios = [_translate_ratios(S) for S in sets]
+    ratios: dict = {}  # only sets in a tight pair need their ratios
+
+    def ratios_of(combo: tuple) -> tuple[frozenset, frozenset]:
+        if combo not in ratios:
+            ratios[combo] = _translate_ratios(table.subset(combo))
+        return ratios[combo]
+
     equality_pairs = 0
     violations = 0
     first_bad = None
-    for i, combo in enumerate(combos):
-        left = ratios[i][0]
-        for j, size_ab in enumerate(table.product_sizes(combo, combos)):
-            if size_ab != len(combo) + len(combos[j]) - 1:
+    for A in combos:
+        # the walk yields every B with |AB| <= |A| + |B| - 1; only equality counts
+        for B, size_ab in table.small_products(A, lo, hi, len(A) - 1):
+            if size_ab != len(A) + len(B) - 1:
                 continue
             equality_pairs += 1
-            if left.isdisjoint(ratios[j][1]):
+            if ratios_of(A)[0].isdisjoint(ratios_of(B)[1]):
                 violations += 1
                 if first_bad is None:
-                    first_bad = {"A": subset_payload(sets[i]), "B": subset_payload(sets[j])}
+                    first_bad = {"A": subset_payload(table.subset(A)), "B": subset_payload(table.subset(B))}
     witness = {
         "window": subset_payload(window),
         "sizes": [lo, hi],

@@ -219,23 +219,38 @@ class ProductTable:
                 mask |= 1 << row[j]
         return mask.bit_count()
 
-    def product_sizes(self, A: tuple, Bs: list) -> list[int]:
-        """|AB| for every B in Bs, from the columns of A.
+    def small_products(self, A: tuple, lo: int, hi: int, bound) -> Iterator[tuple[tuple, int]]:
+        """(B, |AB|) for every B of lo..hi indices with |AB| - |B| <= bound.
 
-        ``cols[j]`` is the mask of ``A y_j``, the OR over i in A of
-        ``1 << rows[i][j]``; |AB| is the popcount of the OR of ``cols[j]``
-        over j in B.
+        The B come in the order of ``itertools.combinations`` by size, lo
+        first. They are built level by level from their prefixes: a child
+        ORs one column ``cols[j]``, the mask of ``A y_j``, into its
+        prefix's mask. Adding an element raises |B| by 1 and never shrinks
+        AB, so every B within hi elements that extends a prefix P has
+        |AB| - |B| >= |AP| - hi, and P is dropped once that exceeds bound.
         """
         cols = [0] * len(self.rows[0])
         for i in A:
             cols = [c | 1 << k for c, k in zip(cols, self.rows[i])]
-        sizes = []
-        for B in Bs:
-            mask = 0
-            for j in B:
-                mask |= cols[j]
-            sizes.append(mask.bit_count())
-        return sizes
+        n = len(cols)
+        cut = bound + hi
+        level = [((), 0)]
+        for size in range(1, hi + 1):
+            # a prefix below lo keeps room for the lo - size elements still to come
+            stop = n - max(lo - size, 0)
+            children = []
+            for P, mask in level:
+                for j in range(P[-1] + 1 if P else 0, stop):
+                    child = mask | cols[j]
+                    count = child.bit_count()
+                    if count > cut:
+                        continue
+                    B = P + (j,)
+                    if size >= lo and count - size <= bound:
+                        yield B, count
+                    if size < hi:
+                        children.append((B, child))
+            level = children
 
 
 def boundary_set(B: FiniteSubset, g: GroupElement) -> FiniteSubset:

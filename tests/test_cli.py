@@ -402,3 +402,39 @@ def test_report_another_schema_version_is_a_parse_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "parse error" in err and "schema_version 99" in err and "line 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sumset", "A", "B", "--group", "zd:1"],
+    ["kappa", "C", "--group", "zd:1"],
+    ["verify", "--law", "kempermann", "--group", "zd:1"],
+    ["example", "--name", "c-lower"],
+    ["explore", "--config", "campaign.json"],
+])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_csv_format_is_a_usage_error_outside_report(argv, from_env, monkeypatch):
+    # only report prints a table; the other commands would print text under csv
+    if from_env:
+        monkeypatch.setenv("SUMSETLAB_FORMAT", "csv")
+    else:
+        argv = argv + ["--format", "csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("from_env", [False, True])
+def test_report_csv_format_prints_the_table(tmp_path, monkeypatch, capsys, from_env):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 3, "seed": 4}))
+    store = tmp_path / "st.jsonl"
+    assert run_cli(capsys, "explore", "--config", str(config), "--out", str(store))[0] == 0
+    argv = ["report", "--run", str(store)]
+    if from_env:
+        monkeypatch.setenv("SUMSETLAB_FORMAT", "csv")
+    else:
+        argv += ["--format", "csv"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == run_cli(capsys, "report", "--run", str(store), "--format", "text")[1]
+    assert out.splitlines()[0].startswith("law,holds,violated")

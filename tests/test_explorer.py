@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UsageError
 from sumsetlab.explorer import (
+    SCHEMA_VERSION,
     Campaign,
     extremal_pairs,
     hunt,
@@ -19,6 +20,7 @@ from sumsetlab.explorer import (
     summarize,
     write_records,
     _instance_rng,
+    _run_law_instance,
 )
 from sumsetlab.groups import backend_from_spec
 from sumsetlab.setops import FiniteSubset, detect_progression, product_size
@@ -301,6 +303,30 @@ def test_atom_law_campaign_runs_clean():
     run = run_campaign(campaign)
     assert run.clean
     assert not any(r["report"]["verdict"] == "finding" for r in run.records)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_seed_free_instances_run_once_per_campaign(monkeypatch, jobs):
+    """equality, klein_grid and c_lower draw nothing: each (backend, law, params) runs once,
+    and the records equal those of one memo-free instance per index."""
+    from sumsetlab import laws
+
+    campaign = Campaign(backends=("klein", "zd:2"), laws=("equality", "klein_grid", "c_lower", "kempermann"),
+                        budget=7, seed=3, jobs=jobs, radius=2, sizes=(1, 5))
+    assert campaign.budget > len(campaign.m_values)
+    expected = sorted(
+        ({"schema_version": SCHEMA_VERSION, "campaign": campaign.hash(), "backend": backend, "law": law,
+          "index": index, "sub": sub, "report": report.to_dict()}
+         for backend in campaign.backends for law in campaign.laws for index in range(campaign.budget)
+         for sub, report in enumerate(_run_law_instance(campaign, backend, law, index))),
+        key=lambda r: (r["backend"], r["law"], r["index"], r["sub"]),
+    )
+    calls = []
+    checker = laws.check_equality_characterization
+    monkeypatch.setattr(laws, "check_equality_characterization",
+                        lambda window, sizes: calls.append(window.backend.spec) or checker(window, sizes))
+    assert run_campaign(campaign).records == expected
+    assert sorted(calls) == ["klein", "zd:2"]
 
 
 def test_instance_rng_is_stable():

@@ -143,34 +143,62 @@ def test_first_element_ratios_match_all_translates(pair):
     assert (not left.isdisjoint(right)) == oracle_common_ratio_pair(A, B)
 
 
+def naive_tight_pairs(window, lo, hi):
+    """Every pair with |AB| = |A| + |B| - 1, in the checker's order: A, then B, by size then lexicographically."""
+    mul = window.backend.mul_key
+    sets = [FiniteSubset._from_keys(window.backend, combo)
+            for size in range(lo, hi + 1) for combo in itertools.combinations(window.keys, size)]
+    return [(A, B) for A in sets for B in sets
+            if len({mul(a, b) for a in A.keys for b in B.keys}) == len(A) + len(B) - 1]
+
+
+def assert_equality_matches_oracles(window, sizes):
+    """Pair count and violations against the all-translates oracle, and the first
+    violation against the naive loop when no pair has a common ratio."""
+    lo, hi = max(sizes[0], 2), sizes[1]
+    tight = naive_tight_pairs(window, lo, hi)
+    report = check_equality_characterization(window, sizes)
+    assert report.witness["equality_pairs"] == len(tight)
+    assert report.slack == sum(not oracle_common_ratio_pair(A, B) for A, B in tight)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_translate_ratios", lambda S: (frozenset(), frozenset()))
+        report = check_equality_characterization(window, sizes)
+    assert report.witness["equality_pairs"] == report.slack == len(tight)
+    first = None if not tight else {"A": subset_payload(tight[0][0]), "B": subset_payload(tight[0][1])}
+    assert report.witness["first_violation"] == first
+    assert report.verdict == ("violated" if tight else "holds")
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(small_sets(min_size=2, max_size=6))
 def test_equality_checker_matches_all_translates_oracle(window):
-    report = check_equality_characterization(window, (2, 3))
-    mul = window.backend.mul_key
-    sets = [FiniteSubset._from_keys(window.backend, combo)
-            for size in (2, 3) for combo in itertools.combinations(window.keys, size)]
-    pairs = [(A, B) for A in sets for B in sets
-             if len({mul(a, b) for a in A.keys for b in B.keys}) == len(A) + len(B) - 1]
-    bad = [(A, B) for A, B in pairs if not oracle_common_ratio_pair(A, B)]
-    assert report.witness["equality_pairs"] == len(pairs)
-    assert report.slack == len(bad)
+    assert_equality_matches_oracles(window, (2, 3))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(small_sets(min_size=2, max_size=6), st.sampled_from(((2, 2), (2, 3), (3, 4), (1, 3))))
 def test_equality_first_violation_is_first_tight_pair_of_naive_loop(window, sizes):
     """With no common ratios, every tight pair is a violation, so the witness pins the order."""
-    lo, hi = max(sizes[0], 2), sizes[1]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, "_translate_ratios", lambda S: (frozenset(), frozenset()))
-        report = check_equality_characterization(window, sizes)
-    mul = window.backend.mul_key
-    sets = [FiniteSubset._from_keys(window.backend, combo)
-            for size in range(lo, hi + 1) for combo in itertools.combinations(window.keys, size)]
-    tight = [(A, B) for A in sets for B in sets
-             if len({mul(a, b) for a in A.keys for b in B.keys}) == len(A) + len(B) - 1]
-    assert report.witness["equality_pairs"] == report.slack == len(tight)
-    first = None if not tight else {"A": subset_payload(tight[0][0]), "B": subset_payload(tight[0][1])}
-    assert report.witness["first_violation"] == first
-    assert report.verdict == ("violated" if tight else "holds")
+    assert_equality_matches_oracles(window, sizes)
+
+
+@st.composite
+def wide_windows(draw):
+    """7 to 9 elements of a non-abelian radius-2 ball, wide enough for the walk's cut to fire."""
+    spec = draw(st.sampled_from(("free:2", "heis")))
+    keys = draw(st.lists(st.sampled_from(BALLS[spec]), min_size=7, max_size=9, unique=True))
+    return FiniteSubset.from_keys(BACKENDS[spec], keys)
+
+
+# 19 tight pairs at sizes (2, 3); a walk that keeps only prefixes that are
+# already tight misses some of them here, while it matches on zd and klein
+FREE2_WIDE = FiniteSubset.from_keys(
+    BACKENDS["free:2"], [(-1,), (-1, -2), (-1, -1), (-1, 2), (1,), (1, 2), (2,), (2, -1)]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(wide_windows(), st.sampled_from(((2, 3), (2, 4))))
+@example(FREE2_WIDE, (2, 3))
+def test_equality_checker_matches_oracles_on_wide_windows(window, sizes):
+    assert_equality_matches_oracles(window, sizes)

@@ -1,5 +1,6 @@
 """Set combinatorics: products, boundaries, progressions, covers, dimension."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,13 +119,14 @@ def test_product_set_errors(z1, klein):
         product_set(A, FiniteSubset.from_keys(klein, [(0, 0)]))
 
 
+def right_subset(right, B):
+    return FiniteSubset._from_keys(right.backend, tuple(right.keys[j] for j in B))
+
+
 def test_product_table_matches_product_size(any_backend):
     rng = random.Random(41)
     window = any_backend.ball(2)
     n = len(window)
-
-    def right_subset(right, B):
-        return FiniteSubset._from_keys(any_backend, tuple(right.keys[j] for j in B))
 
     # the square table, and a rectangular one against a random C
     for right in (window, random_subset(random.Random(43), any_backend, 3, 7)):
@@ -133,9 +135,40 @@ def test_product_table_matches_product_size(any_backend):
         for _ in range(20):
             A = tuple(sorted(rng.sample(range(n), rng.randint(1, 5))))
             expected = [product_size(table.subset(A), right_subset(right, B)) for B in Bs]
-            assert table.product_sizes(A, Bs) == expected
             assert [table.product_size(A, B) for B in Bs] == expected
         assert table.subset((0, n - 1)).keys == (window.keys[0], window.keys[-1])
+
+
+def test_small_products_match_brute_force(any_backend):
+    """The pruned walk yields exactly the filtered combinations loop, in its order."""
+    rng = random.Random(47)
+    window = random_subset(rng, any_backend, 3, 8)
+    for right in (window, random_subset(random.Random(53), any_backend, 3, 7)):
+        table = ProductTable(window, right)
+        for _ in range(12):
+            A = tuple(sorted(rng.sample(range(len(window)), rng.randint(1, 4))))
+            lo = rng.randint(1, 3)
+            hi = rng.randint(lo, 4)
+            # from below the Kemperman value |A| - 1, where nothing is yielded, to well above it
+            bound = len(A) - 1 + rng.randint(-1, 3)
+            expected = []
+            for size in range(lo, hi + 1):
+                for B in itertools.combinations(range(len(right)), size):
+                    size_ab = product_size(table.subset(A), right_subset(right, B))
+                    if size_ab - size <= bound:
+                        expected.append((B, size_ab))
+            assert list(table.small_products(A, lo, hi, bound)) == expected
+
+
+def test_small_products_keeps_prefixes_that_are_not_yet_tight():
+    """On free:2, B = {a^-1 b, a b, b} is tight with A = {a^-1, a^-2}, while its
+    lexicographic prefix {a^-1 b, a b} is not: the cut must wait for the room left to hi."""
+    free2 = backend_from_spec("free:2")
+    window = FiniteSubset.from_keys(free2, [(-1,), (-1, -2), (-1, -1), (-1, 2), (1,), (1, 2), (2,), (2, -1)])
+    table = ProductTable(window, window)
+    A, B = (0, 2), (3, 5, 6)
+    assert table.product_size(A, B[:2]) - 2 > len(A) - 1
+    assert (B, len(A) + len(B) - 1) in table.small_products(A, 2, 3, len(A) - 1)
 
 
 def test_product_table_cap(z1):
