@@ -72,6 +72,12 @@ class _Search:
     the map x -> x*c is injective, so the reduction is at most the number
     of undecided candidates whose c-product already lies in XC,
     popcount(mask & suffix_c[i]).
+
+    A node's loop scores each child in place: it ORs the child's row into
+    the mask, records the child if it ties or beats the incumbent, and
+    applies both bounds to it, so only a child that passes them costs a
+    call and its key tuple. The loop ends at the last child whose subtree
+    still reaches n elements.
     """
 
     def __init__(self, inst: IsoInstance):
@@ -123,39 +129,55 @@ class _Search:
         fragments: list[tuple] = []
         cutoff = total + 2  # larger than every node until the sample is full
 
-        def node(i: int, mask: int, size: int, X: tuple) -> None:
+        def record(X: tuple, size: int, obj: int) -> None:
             nonlocal best, atoms, fragments, cutoff
-            remaining = total - i
-            if size + remaining < n:
-                return
-            obj = mask.bit_count() - size
-            if size >= n and obj <= best:
-                key = tuple(sorted(X))
-                if obj < best:
-                    best, atoms, fragments = obj, [], []
-                if not atoms or size < len(atoms[0]):
-                    atoms = [key]
-                elif size == len(atoms[0]):
-                    atoms.append(key)
-                if len(fragments) < fragment_limit:
-                    fragments.append(key)
-                cutoff = len(atoms[0]) if len(fragments) >= fragment_limit else total + 2
-            if size >= cutoff:
-                if best == global_lower:
-                    return
-                gap = obj - best + 1
-            else:
-                gap = obj - best
-            if gap > 0:
-                if remaining < gap:
-                    return
-                for s in suffix[i]:
-                    if (mask & s).bit_count() < gap:
-                        return
-            for j in range(i, total):
-                node(j + 1, mask | rows[j], size + 1, X + (cands[j],))
+            key = tuple(sorted(X))
+            if obj < best:
+                best, atoms, fragments = obj, [], []
+            if not atoms or size < len(atoms[0]):
+                atoms = [key]
+            elif size == len(atoms[0]):
+                atoms.append(key)
+            if len(fragments) < fragment_limit:
+                fragments.append(key)
+            cutoff = len(atoms[0]) if len(fragments) >= fragment_limit else total + 2
 
-        node(0, self.root, 1, (self.id_key,))
+        def expand(i: int, mask: int, size: int, X: tuple) -> None:
+            # every child has size + 1 elements, and the child cands[j]
+            # leaves total - j - 1 undecided; from j = total + size + 1 - n
+            # on, no set below it reaches n elements
+            size += 1
+            for j in range(i, min(total, total + size - n)):
+                child = mask | rows[j]
+                obj = child.bit_count() - size
+                if size >= n and obj <= best:
+                    record(X + (cands[j],), size, obj)
+                if size >= cutoff:
+                    if best == global_lower:
+                        continue
+                    gap = obj - best + 1
+                else:
+                    gap = obj - best
+                if gap > 0:
+                    if total - j <= gap:
+                        continue
+                    for s in suffix[j + 1]:
+                        if (child & s).bit_count() < gap:
+                            break
+                    else:
+                        expand(j + 1, child, size, X + (cands[j],))
+                    continue
+                expand(j + 1, child, size, X + (cands[j],))
+
+        # the greedy incumbent's set lies below the root, so no bound
+        # against it prunes the root; past its atoms the root can only be
+        # the atom {1} at n = 1, whose value |C| - 1 is certified
+        X, obj = (self.id_key,), self.root.bit_count() - 1
+        if n == 1 and obj <= best:
+            record(X, 1, obj)
+            if cutoff <= 1 and best == global_lower:
+                return best, atoms, fragments
+        expand(0, self.root, 1, X)
         return best, atoms, fragments
 
 

@@ -20,7 +20,7 @@ from sumsetlab.isoperimetry import (
     kappa_restricted,
     stability_scan,
 )
-from sumsetlab.setops import PRODUCT_TABLE_CAP, FiniteSubset
+from sumsetlab.setops import PRODUCT_TABLE_CAP, FiniteSubset, product_size
 
 
 def zset(z1, values):
@@ -227,6 +227,51 @@ def test_kappa_outputs_are_pinned():
     digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
     assert len(rows) == 80
     assert digest == "d2a69f630e2ca54dbcea0c32e5f6520cfdf22bd609a72ae5a0278d83c4dc9124"
+
+
+def zbox(z2, side):
+    """The side x side box of zd:2 around the origin, lower corner first."""
+    lo = -(side // 2)
+    return FiniteSubset.from_keys(z2, list(itertools.product(range(lo, lo + side), repeat=2)))
+
+
+def test_kappa_outputs_are_pinned_at_larger_n(z2):
+    # the outputs the search wrote before each child was bounded in its
+    # parent's loop: deep trees with n from 5 to 12, where the test above
+    # stays shallow; the 7x7 box has 49 elements, above ENUM_WINDOW_CAP,
+    # and n stops at 10 on the 6x6 box and at 9 on the 7x7 box to keep
+    # the test short
+    rng = random.Random("kappa-pin-large")
+    windows = [(z2, zbox(z2, 5), 12), (z2, zbox(z2, 6), 10), (z2, zbox(z2, 7), 9)]
+    for spec, radius in (("klein", 3), ("heis", 2)):
+        backend = backend_from_spec(spec)
+        windows.append((backend, backend.ball(radius), 12))
+    rows = []
+    for backend, window, n_max in windows:
+        pool = backend.ball_keys(2)
+        for _ in range(5):
+            n = rng.randint(5, n_max)
+            C = FiniteSubset.from_keys(backend, rng.sample(pool, rng.randint(2, 4)))
+            r = kappa_restricted(IsoInstance(C, n, window))
+            rows.append([r.kappa_hat, r.certificate, [U.keys for U in r.atoms], [F.keys for F in r.fragments_sample]])
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert len(rows) == 25
+    assert digest == "24753c41e041263e23a3ac610bbcc157c632d3e3845fd6d426416a1ab76696ec"
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_kappa_triangle_oracle(z2, L):
+    # C = {0, -e1, -e2}: the triangle X = {x, y >= 0, x + y < L} has
+    # XC = the triangle of side L + 1, so |XC| - |X| = L + 1 at
+    # n = L(L + 1)/2, and no set of that size in the plane does better
+    C = FiniteSubset.from_keys(z2, [(0, 0), (-1, 0), (0, -1)])
+    n = L * (L + 1) // 2
+    result = kappa_restricted(IsoInstance(C, n, zbox(z2, 5)))
+    assert result.kappa_hat == L + 1
+    assert result.atoms
+    for U in result.atoms:
+        assert len(U) >= n
+        assert product_size(U, C) - len(U) == result.kappa_hat
 
 
 def test_certified_n1_ties_keep_search_order(z1):
