@@ -140,22 +140,32 @@ def _cmd_verify(args) -> int:
     return 1 if bad else 0
 
 
+def _example_klein_grid(args) -> tuple[list[str], dict]:
+    A, B, report = example_klein_grid(args.m)
+    lines = ["A: " + " ".join(str(g) for g in A), f"|B| = {len(B)}", _report_lines(report)]
+    return lines, {"A": subset_payload(A), "B": subset_payload(B), "report": report.to_dict()}
+
+
+def _example_klein_union(args) -> tuple[list[str], dict]:
+    A, report = example_klein_union(args.m)
+    return [f"|A| = {len(A)}", _report_lines(report)], {"A": subset_payload(A), "report": report.to_dict()}
+
+
+def _example_c_lower(args) -> tuple[list[str], dict]:
+    obj = check_c_lower(args.k).witness
+    return [f"k = {obj['k']}: |B| = {obj['B_size']}, deficiency = {obj['deficiency']} (m = {obj['m']})"], obj
+
+
+# example name -> (text lines, JSON object) for the parsed arguments
+EXAMPLES = {
+    "klein-grid": _example_klein_grid,
+    "klein-union": _example_klein_union,
+    "c-lower": _example_c_lower,
+}
+
+
 def _cmd_example(args) -> int:
-    if args.name == "klein-grid":
-        A, B, report = example_klein_grid(args.m)
-        lines = ["A: " + " ".join(str(g) for g in A),
-                 f"|B| = {len(B)}",
-                 _report_lines(report)]
-        obj = {"A": subset_payload(A), "B": subset_payload(B), "report": report.to_dict()}
-    elif args.name == "klein-union":
-        A, report = example_klein_union(args.m)
-        lines = [f"|A| = {len(A)}", _report_lines(report)]
-        obj = {"A": subset_payload(A), "report": report.to_dict()}
-    elif args.name == "c-lower":
-        obj = check_c_lower(args.k).witness
-        lines = [f"k = {obj['k']}: |B| = {obj['B_size']}, deficiency = {obj['deficiency']} (m = {obj['m']})"]
-    else:
-        raise UsageError(f"unknown example {args.name!r}")
+    lines, obj = EXAMPLES[args.name](args)
     _emit(args, lines, [obj])
     return 0
 
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("example", help="construct a named example family")
-    p.add_argument("--name", required=True, choices=("klein-grid", "klein-union", "c-lower"))
+    p.add_argument("--name", required=True, choices=tuple(EXAMPLES))
     p.add_argument("--m", type=int, default=_env_default("m") or 1)
     p.add_argument("--k", type=int, default=_env_default("k") or 1)
     _add_common(p)

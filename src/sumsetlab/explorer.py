@@ -60,6 +60,8 @@ class Campaign:
     iso_radius: int = 3
 
     def __post_init__(self):
+        for name in ("backends", "laws"):
+            object.__setattr__(self, name, _names(getattr(self, name), name))
         # every field with a default is an integer or a tuple of integers
         for f in dataclasses.fields(self):
             if f.default is not dataclasses.MISSING:
@@ -102,23 +104,24 @@ class Campaign:
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise UsageError(f"unsupported campaign schema_version {version}")
-        backends = data.get("backends") or data.get("backend")
-        if isinstance(backends, str):
-            backends = [backends]
-        if not backends:
-            raise UsageError("campaign config needs at least one backend")
-        laws = data.get("laws")
-        if isinstance(laws, str):
-            laws = [laws]
-        if not laws:
-            raise UsageError("campaign config needs at least one law")
         kwargs = {f.name: data[f.name] for f in dataclasses.fields(cls)
                   if f.default is not dataclasses.MISSING and f.name in data}
-        return cls(backends=tuple(backends), laws=tuple(laws), **kwargs)
+        return cls(backends=data.get("backends") or data.get("backend"), laws=data.get("laws"), **kwargs)
 
     @classmethod
     def from_file(cls, path) -> "Campaign":
         return cls.from_dict(load_config(path))
+
+
+def _names(value, what: str) -> tuple:
+    """A campaign's backends or laws as a tuple; one string is a tuple of one."""
+    if isinstance(value, str):
+        value = [value]
+    if not value:
+        raise UsageError(f"campaign needs at least one {what[:-1]}")
+    if not isinstance(value, (list, tuple)):
+        raise UsageError(f"campaign {what} must be a string or a list, got {value!r}")
+    return tuple(value)
 
 
 def _int_field(data: dict, name: str, default, where: str):
@@ -326,10 +329,34 @@ def read_records(path) -> list[dict]:
                     raise ParseError(
                         f"record store {path}: schema_version {version!r} is not {SCHEMA_VERSION}", lineno
                     )
+                problem = _record_problem(record)
+                if problem is not None:
+                    raise ParseError(f"record store {path}: {problem}", lineno)
                 records.append(record)
         except UnicodeDecodeError:
             raise ParseError(f"record store {path} is not UTF-8 text") from None
     return records
+
+
+# the type summarize needs of each record field
+_RECORD_FIELDS = {"campaign": str, "backend": str, "law": str, "index": int, "sub": int, "report": dict}
+
+
+def _record_problem(record: dict) -> str | None:
+    """Why summarize cannot count a store record, or None."""
+    for name, kind in _RECORD_FIELDS.items():
+        value = record.get(name)
+        if value is None:
+            return f"record has no {name!r}"
+        if not isinstance(value, kind):
+            return f"record {name!r} {value!r} has type {type(value).__name__}, not {kind.__name__}"
+    report = record["report"]
+    if report.get("verdict") not in VERDICTS:
+        return f"report verdict {report.get('verdict')!r} is not one of {', '.join(VERDICTS)}"
+    slack = report.get("slack")
+    if slack is not None and not isinstance(slack, (int, float)):
+        return f"report slack {slack!r} is not a number"
+    return None
 
 
 def summarize(records: list[dict]) -> list[dict]:

@@ -106,7 +106,6 @@ class GroupBackend:
     """
 
     spec: str = ""
-    torsion_free: bool = True
     unique_product: bool = True
     identity_key: tuple = ()
 

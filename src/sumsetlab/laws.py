@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError, UnsupportedOperationError, UsageError
 from .groups import GroupBackend, KleinBackend, LatticeBackend, backend_from_spec
@@ -258,86 +259,105 @@ def check_corollary_AB(A: FiniteSubset) -> LawReport:
 def check_atom_lemmas(C: FiniteSubset, n: int, result: IsoResult, k: int | None = None) -> list[LawReport]:
     """One report per lemma per atom; everything is skipped without a certificate."""
     if result.certificate != CERTIFIED_EXACT:
-        detail = f"result certificate is {result.certificate}"
-        return [LawReport(law, VERDICT_SKIPPED, None, {"n": n}, detail) for law in ATOM_LAWS]
-    reports = []
-    for U in result.atoms:
-        for law in ATOM_LAWS:
-            reports.append(_atom_lemma_report(law, U, C, n, k))
-    return reports
+        return [_uncertified(law, n, result) for law in ATOM_LAWS]
+    return [LAWS[law].lemma(U, C, n, k) for U in result.atoms for law in ATOM_LAWS]
 
 
-def _atom_lemma_report(law: str, U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
-    backend = U.backend
-    witness = {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": k}
+def _uncertified(law: str, n: int, result: IsoResult) -> LawReport:
+    """An atom lemma's report on a kappa result whose atoms are not certified."""
+    return LawReport(law, VERDICT_SKIPPED, None, {"n": n}, f"result certificate is {result.certificate}")
 
-    if law == "atom_left":
-        # |U meet gU| <= n - 1
-        worst, worst_g = _worst_overlap(U, left=True)
-        slack = worst - (n - 1)
-        witness["worst_g"] = backend.format_key(worst_g) if worst_g else None
-        witness["max_intersection"] = worst
-        verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
-        return LawReport(law, verdict, slack, witness)
 
-    if law == "atom_right":
-        if n < 2:
-            return _hyp(law, witness, "requires n >= 2")
-        # integer-cleared form: (n-1)|U meet Ug| <= (n-2)|U| + 1
-        worst, worst_g = _worst_overlap(U, left=False)
-        slack = (n - 1) * worst - ((n - 2) * len(U) + 1)
-        witness["worst_g"] = backend.format_key(worst_g) if worst_g else None
-        verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
-        return LawReport(law, verdict, slack, witness)
+def _atom_witness(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> dict:
+    return {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": k}
 
-    if law == "atom_nonunique":
-        if len(U) <= n:
-            return _hyp(law, witness, f"|U| = {len(U)} is not larger than n = {n}")
-        counts: dict = {}
-        mul = backend.mul_key
-        for u in U.keys:
-            for c in C.keys:
-                key = mul(u, c)
-                counts[key] = counts.get(key, 0) + 1
-        fewest = min(counts.values())
-        slack = fewest - 2
-        witness["min_factorizations"] = fewest
-        verdict = VERDICT_HOLDS if slack >= 0 else VERDICT_VIOLATED
-        return LawReport(law, verdict, slack, witness)
 
-    if law == "two_atom_rough":
-        if n != 2:
-            return _hyp(law, witness, "requires n = 2")
-        if len(C) < 3:
-            return _hyp(law, witness, f"|C| = {len(C)} < 3")
-        slack = len(U) - (len(C) - 1)
-        verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
-        return LawReport(law, verdict, slack, witness)
+def check_atom_left(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+    """|U meet gU| <= n - 1 for every g != 1."""
+    witness = _atom_witness(U, C, n, k)
+    worst, worst_g = _worst_overlap(U, left=True)
+    slack = worst - (n - 1)
+    witness["worst_g"] = U.backend.format_key(worst_g) if worst_g else None
+    witness["max_intersection"] = worst
+    verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
+    return LawReport("atom_left", verdict, slack, witness)
 
-    if law in ("two_atom", "n_atom"):
-        if law == "two_atom" and n != 2:
-            return _hyp(law, witness, "requires n = 2")
-        if law == "n_atom" and n < 3:
-            return _hyp(law, witness, "requires n >= 3")
-        if len(C) < 3:
-            return _hyp(law, witness, f"|C| = {len(C)} < 3")
-        uc = product_size(U, C)
-        kk = k if k is not None else uc - len(U) - len(C)
-        witness["k"] = kk
-        if uc > len(U) + len(C) + kk:
-            return _hyp(law, witness, f"|UC| exceeds |U| + |C| + k with k = {kk}")
-        bound = kk + 3 if law == "two_atom" else n * (2 * kk + 3)
-        slack = len(U) - bound
-        verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
-        return LawReport(law, verdict, slack, witness)
 
-    if law == "atom_conjecture":
-        slack = len(U) - n
-        if slack == 0:
-            return LawReport(law, VERDICT_HOLDS, 0, witness)
-        return LawReport(law, VERDICT_FINDING, slack, witness, "atom larger than n")
+def check_atom_right(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+    """(n-1)|U meet Ug| <= (n-2)|U| + 1 for every g != 1, when n >= 2."""
+    witness = _atom_witness(U, C, n, k)
+    if n < 2:
+        return _hyp("atom_right", witness, "requires n >= 2")
+    worst, worst_g = _worst_overlap(U, left=False)
+    slack = (n - 1) * worst - ((n - 2) * len(U) + 1)
+    witness["worst_g"] = U.backend.format_key(worst_g) if worst_g else None
+    verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
+    return LawReport("atom_right", verdict, slack, witness)
 
-    raise UsageError(f"unknown atom lemma {law!r}")
+
+def check_atom_nonunique(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+    """An atom larger than n has every element of UC written at least twice as uc."""
+    witness = _atom_witness(U, C, n, k)
+    if len(U) <= n:
+        return _hyp("atom_nonunique", witness, f"|U| = {len(U)} is not larger than n = {n}")
+    mul = U.backend.mul_key
+    fewest = min(Counter(mul(u, c) for u in U.keys for c in C.keys).values())
+    slack = fewest - 2
+    witness["min_factorizations"] = fewest
+    verdict = VERDICT_HOLDS if slack >= 0 else VERDICT_VIOLATED
+    return LawReport("atom_nonunique", verdict, slack, witness)
+
+
+def check_two_atom_rough(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+    """|U| <= |C| - 1 for a 2-atom U of a set C with |C| >= 3."""
+    witness = _atom_witness(U, C, n, k)
+    if n != 2:
+        return _hyp("two_atom_rough", witness, "requires n = 2")
+    if len(C) < 3:
+        return _hyp("two_atom_rough", witness, f"|C| = {len(C)} < 3")
+    slack = len(U) - (len(C) - 1)
+    verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
+    return LawReport("two_atom_rough", verdict, slack, witness)
+
+
+def check_two_atom(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+    """|U| <= k + 3 for a 2-atom U of C with |UC| <= |U| + |C| + k."""
+    witness = _atom_witness(U, C, n, k)
+    if n != 2:
+        return _hyp("two_atom", witness, "requires n = 2")
+    return _atom_size_bound("two_atom", U, C, k, witness, lambda kk: kk + 3)
+
+
+def check_n_atom(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+    """|U| <= n(2k + 3) for an n-atom U of C with |UC| <= |U| + |C| + k, n >= 3."""
+    witness = _atom_witness(U, C, n, k)
+    if n < 3:
+        return _hyp("n_atom", witness, "requires n >= 3")
+    return _atom_size_bound("n_atom", U, C, k, witness, lambda kk: n * (2 * kk + 3))
+
+
+def _atom_size_bound(law: str, U: FiniteSubset, C: FiniteSubset, k: int | None,
+                     witness: dict, bound: Callable[[int], int]) -> LawReport:
+    """|U| <= bound(k) once |C| >= 3 and |UC| <= |U| + |C| + k; k defaults to |UC| - |U| - |C|."""
+    if len(C) < 3:
+        return _hyp(law, witness, f"|C| = {len(C)} < 3")
+    uc = product_size(U, C)
+    kk = k if k is not None else uc - len(U) - len(C)
+    witness["k"] = kk
+    if uc > len(U) + len(C) + kk:
+        return _hyp(law, witness, f"|UC| exceeds |U| + |C| + k with k = {kk}")
+    slack = len(U) - bound(kk)
+    verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
+    return LawReport(law, verdict, slack, witness)
+
+
+def check_atom_conjecture(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+    """Conjecture: every n-atom has exactly n elements."""
+    slack = len(U) - n
+    witness = _atom_witness(U, C, n, k)
+    if slack == 0:
+        return LawReport("atom_conjecture", VERDICT_HOLDS, 0, witness)
+    return LawReport("atom_conjecture", VERDICT_FINDING, slack, witness, "atom larger than n")
 
 
 def _worst_overlap(U: FiniteSubset, left: bool) -> tuple[int, tuple | None]:
@@ -506,12 +526,16 @@ CONJECTURE = "conjecture"
 class Law:
     """How one law id is checked, whoever asks: a campaign, ``verify`` or replay.
 
-    ``run`` takes the named inputs as keywords and returns the reports. It
-    calls its checker by the checker's name in this module, looked up at
-    call time, so a wrapper installed on that name sees every call. The
-    inputs are the named sets in ``sets`` (``A``, ``B``, ``C``, ``window``)
-    and the parameters in ``params`` (``d``, ``k``, ``m``, ``n``,
-    ``use_general_bound``, ``sizes``); a witness names them the same way.
+    ``run`` takes the named inputs as keywords and returns the reports.
+    The inputs are the named sets in ``sets`` (``A``, ``B``, ``C``,
+    ``window``) and the parameters in ``params`` (``d``, ``k``, ``m``,
+    ``n``, ``use_general_bound``, ``sizes``); a witness names them the same
+    way. Outside the atom lemmas, ``run`` calls its checker by the
+    checker's name in this module, looked up at call time, so a wrapper
+    installed on that name sees every call. An atom lemma's entry holds its
+    checker in ``lemma``; its ``run`` (once per certified atom),
+    :func:`replay` and :func:`check_atom_lemmas` read it from the entry at
+    call time, so an entry installed with a wrapped ``lemma`` sees every call.
     """
 
     run: Callable[..., list[LawReport]]
@@ -523,8 +547,8 @@ class Law:
     # (draw, grid params) -> the drawn inputs or a skip detail, where a
     # campaign draws other than one uniform subset per named set
     sample: Callable | None = None
-    # witness -> report, where the witness does not hold the inputs
-    replay: Callable[[dict], LawReport] | None = None
+    # (U, C, n, k) -> the report on one atom U, for the atom lemmas only
+    lemma: Callable[[FiniteSubset, FiniteSubset, int, int | None], LawReport] | None = None
 
 
 def _lattice_only(backend: GroupBackend) -> str | None:
@@ -569,18 +593,17 @@ def _sample_iso_instance(draw, params: dict) -> dict | str:
     return {"C": draw.subset(max_size=ISO_C_MAX_SIZE), "window": window}
 
 
-def _atom_law(law: str, status: str = THEOREM) -> Law:
-    """An atom lemma: checked on the certified atoms of kappa over (C, n, window)."""
+def _atom_law(law: str, lemma: Callable, status: str = THEOREM) -> Law:
+    """An atom lemma: its checker run on each certified atom of kappa over (C, n, window)."""
 
     def run(C, n, window):
         result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
-        return [r for r in check_atom_lemmas(C, n, result) if r.law == law]
+        if result.certificate != CERTIFIED_EXACT:
+            return [_uncertified(law, n, result)]
+        check = LAWS[law].lemma
+        return [check(U, C, n, None) for U in result.atoms]
 
-    def replay(w):
-        U, C = subset_from_payload(w["U"]), subset_from_payload(w["C"])
-        return _atom_lemma_report(law, U, C, w["n"], w.get("k"))
-
-    return Law(run, ("C", "window"), ("n",), status, sample=_sample_iso_instance, replay=replay)
+    return Law(run, ("C", "window"), ("n",), status, sample=_sample_iso_instance, lemma=lemma)
 
 
 LAWS: dict[str, Law] = {
@@ -595,13 +618,13 @@ LAWS: dict[str, Law] = {
                            skip=_lattice_only, sample=_sample_larger_first),
     "3k4": Law(lambda A: [check_3k4(A)], ("A",),
                sample=lambda draw, params: draw.too_small(4) or {"A": draw.subset(4)}),
-    "atom_left": _atom_law("atom_left"),
-    "atom_right": _atom_law("atom_right"),
-    "atom_nonunique": _atom_law("atom_nonunique"),
-    "two_atom_rough": _atom_law("two_atom_rough"),
-    "two_atom": _atom_law("two_atom"),
-    "n_atom": _atom_law("n_atom"),
-    "atom_conjecture": _atom_law("atom_conjecture", CONJECTURE),
+    "atom_left": _atom_law("atom_left", check_atom_left),
+    "atom_right": _atom_law("atom_right", check_atom_right),
+    "atom_nonunique": _atom_law("atom_nonunique", check_atom_nonunique),
+    "two_atom_rough": _atom_law("two_atom_rough", check_two_atom_rough),
+    "two_atom": _atom_law("two_atom", check_two_atom),
+    "n_atom": _atom_law("n_atom", check_n_atom),
+    "atom_conjecture": _atom_law("atom_conjecture", check_atom_conjecture, CONJECTURE),
     "uvk": Law(lambda B, d: [check_uvk(B, d)], ("B",), ("d",), skip=_needs_noncommuting_pair),
     "main_theorem": Law(
         lambda A, B, k, use_general_bound=False: [check_main_theorem(A, B, k, use_general_bound)],
@@ -627,8 +650,8 @@ def replay(report: LawReport) -> LawReport:
     law, w = LAWS.get(report.law), report.witness
     if law is None:
         raise UsageError(f"law {report.law!r} does not support replay")
-    if law.replay is not None:
-        return law.replay(w)
+    if law.lemma is not None:
+        return law.lemma(subset_from_payload(w["U"]), subset_from_payload(w["C"]), w["n"], w.get("k"))
     inputs = {name: subset_from_payload(w[name]) for name in law.sets}
     inputs.update((p, w[p]) for p in law.params if p in w)
     return law.run(**inputs)[0]

@@ -1,22 +1,22 @@
-"""The atom lemmas' overlap counts pinned to a per-g recount oracle."""
+"""The atom lemmas pinned to an oracle that recounts per g and per product."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsetlab.groups import backend_from_spec
-from sumsetlab.laws import _atom_lemma_report
+from sumsetlab.laws import ATOM_LAWS, LAWS
 from sumsetlab.reports import (
     LawReport,
+    VERDICT_FINDING,
     VERDICT_HOLDS,
     VERDICT_HYPOTHESIS_NOT_MET,
     VERDICT_VIOLATED,
     subset_payload,
 )
-from sumsetlab.setops import FiniteSubset, product_size
+from sumsetlab.setops import FiniteSubset, product_set, product_size
 
 BACKEND_SPECS = ("zd:1", "zd:2", "free:2", "klein", "heis")
 ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=120, deadline=None)
-OVERLAP_LAWS = ("atom_left", "atom_right", "two_atom", "n_atom")
 
 
 # -- oracle ------------------------------------------------------------------
@@ -34,7 +34,7 @@ def support_keys(backend, ukeys, left):
 
 
 def oracle_report(law, U, C, n, k):
-    """Each |U meet gU| or |U meet Ug| recounted from scratch; ties keep the first g."""
+    """Each |U meet gU|, |U meet Ug| or factorization count recounted from scratch; ties keep the first g."""
     backend = U.backend
     mul, ukeys, ukeyset = backend.mul_key, U.keys, frozenset(U.keys)
     witness = {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": k}
@@ -63,13 +63,27 @@ def oracle_report(law, U, C, n, k):
         witness["worst_g"] = backend.format_key(worst_g) if worst_g else None
         verdict = VERDICT_HOLDS if worst_slack <= 0 else VERDICT_VIOLATED
         return LawReport(law, verdict, worst_slack, witness)
-    # two_atom and n_atom
-    if law == "two_atom" and n != 2:
+    if law == "atom_nonunique":
+        if len(U) <= n:
+            detail = f"|U| = {len(U)} is not larger than n = {n}"
+            return LawReport(law, VERDICT_HYPOTHESIS_NOT_MET, None, witness, detail)
+        fewest = min(sum(1 for u in ukeys for c in C.keys if mul(u, c) == x.key) for x in product_set(U, C))
+        witness["min_factorizations"] = fewest
+        return LawReport(law, VERDICT_HOLDS if fewest >= 2 else VERDICT_VIOLATED, fewest - 2, witness)
+    if law == "atom_conjecture":
+        if len(U) == n:
+            return LawReport(law, VERDICT_HOLDS, 0, witness)
+        return LawReport(law, VERDICT_FINDING, len(U) - n, witness, "atom larger than n")
+    # two_atom_rough, two_atom and n_atom
+    if law in ("two_atom_rough", "two_atom") and n != 2:
         return LawReport(law, VERDICT_HYPOTHESIS_NOT_MET, None, witness, "requires n = 2")
     if law == "n_atom" and n < 3:
         return LawReport(law, VERDICT_HYPOTHESIS_NOT_MET, None, witness, "requires n >= 3")
     if len(C) < 3:
         return LawReport(law, VERDICT_HYPOTHESIS_NOT_MET, None, witness, f"|C| = {len(C)} < 3")
+    if law == "two_atom_rough":
+        slack = len(U) - (len(C) - 1)
+        return LawReport(law, VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED, slack, witness)
     kk = k if k is not None else product_size(U, C) - len(U) - len(C)
     witness["k"] = kk
     if product_size(U, C) > len(U) + len(C) + kk:
@@ -104,5 +118,5 @@ def test_overlap_laws_match_per_g_recount(spec, data):
     C = data.draw(subsets(backend, 5), label="C")
     n = data.draw(st.integers(1, 4), label="n")
     k = data.draw(st.one_of(st.none(), st.integers(0, 4)), label="k")
-    for law in OVERLAP_LAWS:
-        assert _atom_lemma_report(law, U, C, n, k) == oracle_report(law, U, C, n, k)
+    for law in ATOM_LAWS:
+        assert LAWS[law].lemma(U, C, n, k) == oracle_report(law, U, C, n, k)

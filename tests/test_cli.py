@@ -283,6 +283,16 @@ def test_explore_non_string_backend_is_a_usage_error(tmp_path, capsys):
     assert "group spec" in err
 
 
+@pytest.mark.parametrize("names", [{"backends": 5, "laws": ["kempermann"]},
+                                   {"backends": ["zd:1"], "laws": 7}])
+def test_explore_numeric_backends_or_laws_is_a_usage_error(tmp_path, capsys, names):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({**names, "budget": 1, "seed": 1}))
+    code, _, err = run_cli(capsys, "explore", "--config", str(config))
+    assert code == 2
+    assert err.startswith("error: campaign ") and "must be a string or a list, got " in err
+
+
 def test_explore_non_integer_jobs_exits_2(tmp_path):
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 1, "seed": 1}))
@@ -301,6 +311,25 @@ def test_report_non_json_store_line_is_a_parse_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--run", str(store))
     assert code == 2
     assert "parse error" in err and "line 3, column 1" in err
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"schema_version":1}', "record has no 'campaign'"),
+    ('{"schema_version":1,"campaign":"c","backend":"zd:1","law":"kempermann","index":0,"sub":0,'
+     '"report":{"law":"kempermann","verdict":"bogus"}}', "report verdict 'bogus' is not one of"),
+    ('{"schema_version":1,"campaign":"c","backend":"zd:1","law":"kempermann","index":0,"sub":0,'
+     '"report":5}', "record 'report' 5 has type int, not dict"),
+])
+def test_report_malformed_store_record_is_a_parse_error(tmp_path, capsys, line, problem):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 1}))
+    store = tmp_path / "st.jsonl"
+    run_cli(capsys, "explore", "--config", str(config), "--out", str(store))
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    code, _, err = run_cli(capsys, "report", "--run", str(store))
+    assert code == 2
+    assert err.startswith("parse error") and problem in err and "at line 3" in err
 
 
 NOT_UTF8 = b"\xff\xfe\x00"

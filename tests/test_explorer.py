@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,23 @@ def test_campaign_constructor_rejects_non_int_numbers(field, value):
     # built from Python, a campaign gets the same check as from a config file
     with pytest.raises(UsageError, match=f"^campaign field '{field}' needs "):
         Campaign(backends=("zd:1",), laws=("kempermann",), **{field: value})
+
+
+@pytest.mark.parametrize("names, problem", [
+    ({"backends": 5, "laws": ("kempermann",)}, "campaign backends must be a string or a list, got 5"),
+    ({"backends": ("zd:1",), "laws": 7}, "campaign laws must be a string or a list, got 7"),
+    ({"backends": (), "laws": ("kempermann",)}, "campaign needs at least one backend"),
+    ({"backends": ("zd:1",), "laws": None}, "campaign needs at least one law"),
+])
+def test_campaign_names_must_be_a_string_or_a_list(names, problem):
+    with pytest.raises(UsageError, match=f"^{problem}$"):
+        Campaign(**names)
+    with pytest.raises(UsageError, match=f"^{problem}$"):
+        Campaign.from_dict(names)
+
+
+def test_campaign_reads_one_name_as_a_tuple_of_one():
+    assert Campaign(backends="zd:1", laws="kempermann") == Campaign(backends=["zd:1"], laws=("kempermann",))
 
 
 def test_campaign_constructor_reads_lists_as_tuples():
@@ -591,4 +609,22 @@ def test_read_records_rejects_another_schema_version(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, run.records[:2] + [dict(run.records[2], schema_version=99)])
     with pytest.raises(ParseError, match="schema_version 99 .* at line 3"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda r: {"schema_version": r["schema_version"]}, "record has no 'campaign'"),
+    (lambda r: {k: v for k, v in r.items() if k != "sub"}, "record has no 'sub'"),
+    (lambda r: dict(r, index=[0]), "record 'index' [0] has type list, not int"),
+    (lambda r: dict(r, law=7), "record 'law' 7 has type int, not str"),
+    (lambda r: dict(r, report=5), "record 'report' 5 has type int, not dict"),
+    (lambda r: dict(r, report=dict(r["report"], verdict="bogus")), "report verdict 'bogus' is not one of"),
+    (lambda r: dict(r, report={"law": "kempermann"}), "report verdict None is not one of"),
+    (lambda r: dict(r, report=dict(r["report"], slack="x")), "report slack 'x' is not a number"),
+])
+def test_read_records_rejects_a_malformed_record(tmp_path, change, problem):
+    run = run_campaign(small_campaign())
+    path = tmp_path / "records.jsonl"
+    write_records(path, run.records[:1] + [change(run.records[1])] + run.records[2:])
+    with pytest.raises(ParseError, match=f"{re.escape(problem)}.* at line 2"):
         read_records(path)

@@ -432,7 +432,7 @@ def test_backend_spec_round_trip():
         backend = backend_from_spec(spec)
         assert backend.spec == spec
         assert backend_from_spec(spec) is backend
-        assert backend.torsion_free and backend.unique_product
+        assert backend.unique_product
     with pytest.raises(UsageError):
         backend_from_spec("zd:x")
     with pytest.raises(UsageError):

@@ -1,15 +1,20 @@
 """Law checkers: inequalities, atom lemmas, example families, replay."""
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from sumsetlab.errors import DomainError, UnsupportedOperationError
+from sumsetlab.groups import backend_from_spec
 from sumsetlab.isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from sumsetlab.laws import (
     ATOM_LAWS,
     CONJECTURE_LAWS,
+    LAWS,
     THEOREM_LAWS,
     check_3k4,
     check_atom_lemmas,
@@ -280,15 +285,65 @@ def test_atom_lemmas_explicit_k_gate(z1):
 def test_atom_nonunique_counting_path(z1):
     # exercised directly: certified atoms on unique-product backends always
     # have |U| = n, so the |U| > n branch never fires through kappa results
-    from sumsetlab.laws import _atom_lemma_report
-
     U = zset(z1, [0, 1, 2])
     C = zset(z1, [0, 1, 2])
-    report = _atom_lemma_report("atom_nonunique", U, C, 2, None)
+    report = LAWS["atom_nonunique"].lemma(U, C, 2, None)
     # 0 has the single factorization 0 + 0, so a 3-set is not a 2-atom here
     assert report.verdict == VERDICT_VIOLATED
     assert report.witness["min_factorizations"] == 1
     assert report.slack == -1
+
+
+def test_atom_reports_are_pinned():
+    # the reports check_atom_lemmas and each atom law's run wrote while one
+    # function checked every lemma by comparing the law id: certified and
+    # uncertified instances, n = 1..3, explicit and derived k
+    rows = []
+    for spec, radius in (("zd:1", 5), ("zd:2", 2), ("klein", 2), ("heis", 1)):
+        backend = backend_from_spec(spec)
+        window = backend.ball(radius)
+        one, gens = backend.identity_key, backend.generator_keys()
+        g, h = gens[0], gens[-1]
+        for ckeys in ([one, g], [one, g, backend.pow_key(g, 2)], [one, g, h], [one, g, backend.pow_key(g, 3)]):
+            C = FiniteSubset.from_keys(backend, ckeys)
+            for n in (1, 2, 3):
+                result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
+                for k in (None, 0, 2):
+                    rows += [r.to_dict() for r in check_atom_lemmas(C, n, result, k)]
+                for law in ATOM_LAWS:
+                    rows += [r.to_dict() for r in LAWS[law].run(C=C, n=n, window=window)]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
+    assert len(rows) == 1988
+    assert {r["verdict"] for r in rows} == {VERDICT_HOLDS, VERDICT_HYPOTHESIS_NOT_MET, VERDICT_SKIPPED}
+    assert digest == "bdbdd1f537eb2b3b5f3c75a35ef40b29fc9e09d549708fcb5ea67e12b0f93a84"
+
+
+@pytest.mark.parametrize("ckeys, n, atoms", [([(0, 0), (1, 0)], 3, 3), ([(0, 0), (1, 0), (0, 1)], 2, 0)])
+def test_atom_law_runs_its_checker_once_per_atom(monkeypatch, ckeys, n, atoms):
+    # every atom entry's checker counts its calls: running one law calls its
+    # own checker once per certified atom and no other lemma's checker
+    z2 = backend_from_spec("zd:2")
+    C, window = FiniteSubset.from_keys(z2, ckeys), z2.ball(2)
+    expected = {law: LAWS[law].run(C=C, n=n, window=window) for law in ATOM_LAWS}
+    calls = dict.fromkeys(ATOM_LAWS, 0)
+    for law in ATOM_LAWS:
+        lemma = LAWS[law].lemma
+
+        def counting(U, C, n, k, law=law, lemma=lemma):
+            calls[law] += 1
+            return lemma(U, C, n, k)
+
+        monkeypatch.setitem(LAWS, law, dataclasses.replace(LAWS[law], lemma=counting))
+    for law in ATOM_LAWS:
+        before = dict(calls)
+        assert LAWS[law].run(C=C, n=n, window=window) == expected[law]
+        assert {other: calls[other] - before[other] for other in ATOM_LAWS} == {
+            other: atoms if other == law else 0 for other in ATOM_LAWS}
+    # check_atom_lemmas reads the same entries
+    before = dict(calls)
+    check_atom_lemmas(C, n, kappa_restricted(IsoInstance(C, n, window), fragment_limit=0))
+    assert all(calls[law] - before[law] == atoms for law in ATOM_LAWS)
+    assert all(len(reports) == max(atoms, 1) for reports in expected.values())
 
 
 def test_atom_lemmas_certified_corpus(any_backend):
