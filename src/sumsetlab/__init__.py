@@ -16,8 +16,6 @@ from .groups import (
     KleinBackend,
     LatticeBackend,
     backend_from_spec,
-    in_cyclic,
-    primitive_root,
 )
 from .setops import (
     DimensionReport,

@@ -25,16 +25,9 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError, ResourceLimitError, UsageError
 from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, backend_from_spec
-from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4, klein_union_set
-from .reports import (
-    LawReport,
-    VERDICT_FINDING,
-    VERDICT_SKIPPED,
-    VERDICT_VIOLATED,
-    VERDICTS,
-    subset_payload,
-)
-from .setops import FiniteSubset, ProductTable, cover_by_two_progressions, product_size
+from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4
+from .reports import LawReport, VERDICT_FINDING, VERDICT_SKIPPED, VERDICT_VIOLATED, VERDICTS
+from .setops import FiniteSubset, ProductTable
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
@@ -67,11 +60,15 @@ class Campaign:
             if f.default is not dataclasses.MISSING:
                 value = _int_value(getattr(self, f.name), f.default, f"campaign field {f.name!r}")
                 object.__setattr__(self, f.name, value)
-        for spec in self.backends:
-            backend_from_spec(spec)
+        specs = [backend_from_spec(spec).spec for spec in self.backends]
         unknown = [law for law in self.laws if law not in LAW_IDS]
         if unknown:
             raise UsageError(f"unknown law ids: {unknown}")
+        # a repeated entry would write each of its records once per repeat
+        for what, names, keys in (("backends", self.backends, specs), ("laws", self.laws, self.laws)):
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise UsageError(f"campaign {what} repeat {key}: {names[keys.index(key)]!r} and {names[i]!r}")
         if self.budget < 1:
             raise UsageError("budget must be positive")
         if self.jobs < 1:
@@ -483,39 +480,7 @@ def _hunt_3k4(grid: dict) -> list[LawReport]:
     return findings
 
 
-def _hunt_freiman_union(grid: dict) -> list[LawReport]:
-    """Check the 10/3 union threshold on the Klein union family.
-
-    The family sits exactly at 3|A^2| = 10|A| - 13, above the strict
-    threshold 3|A^2| < 10|A| - 15, so the hypothesis is never met and the
-    expected outcome is an empty list. A bipartition failure under a met
-    hypothesis is reported as an unconfirmed finding since overlapping
-    covers are not enumerated. The split test is the two-progression
-    cover within |A|, whose parts are then exact and disjoint; it raises
-    ResourceLimitError above TWO_COVER_MAX_SIZE.
-    """
-    findings: list[LawReport] = []
-    for m in _hunt_field(grid, "m_values", (1, 2, 3, 4, 5), 1):
-        A = klein_union_set(m)
-        sq = product_size(A, A)
-        if not 3 * sq < 10 * len(A) - 15:
-            continue
-        if cover_by_two_progressions(A, len(A)) is None:
-            findings.append(
-                LawReport(
-                    "freiman_union",
-                    VERDICT_FINDING,
-                    3 * sq - (10 * len(A) - 15),
-                    {"A": subset_payload(A), "square_size": sq, "m": m},
-                    "unconfirmed: no exact bipartition into two progressions",
-                )
-            )
-    return findings
-
-
 HUNTS = {
     "atom_conjecture": _hunt_atom_conjecture,
     "3k4": _hunt_3k4,
-    "freiman_union": _hunt_freiman_union,
 }
-CONJECTURE_IDS = tuple(HUNTS)

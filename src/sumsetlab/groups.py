@@ -27,6 +27,7 @@ from .errors import DomainError, ParseError, ResourceLimitError, UsageError
 
 DEFAULT_BALL_CAP = 12
 BALL_ELEMENT_CAP = 1 << 20
+LATTICE_DIM_CAP = 64
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WORD_TOKEN = re.compile(r"\S+")
@@ -148,11 +149,28 @@ class GroupBackend:
         """Return the unique k with h^k == g, or None; h must not be the identity."""
         raise NotImplementedError
 
+    # the integer-tuple normal form "(i1,...,id)" of arity len(identity_key);
+    # the free backend overrides all three, Klein its parsing and formatting
+
     def parse_key(self, text: str, line: int | None = None) -> tuple:
-        raise NotImplementedError
+        arity = len(self.identity_key)
+        s = text.strip()
+        if not (s.startswith("(") and s.endswith(")")):
+            shape = ",".join(f"i{j + 1}" for j in range(arity))
+            raise ParseError(f"{self.spec} element must look like ({shape})", line=line, column=1)
+        parts = s[1:-1].split(",")
+        if len(parts) != arity:
+            raise ParseError(f"expected {arity} coordinates, got {len(parts)}", line=line, column=1)
+        values = []
+        for part in parts:
+            part = part.strip()
+            if not re.fullmatch(r"-?\d+", part):
+                raise ParseError(f"bad integer coordinate {part!r}", line=line, column=1)
+            values.append(int(part))
+        return tuple(values)
 
     def format_key(self, key: tuple) -> str:
-        raise NotImplementedError
+        return "(" + ",".join(str(x) for x in key) + ")"
 
     def format_keys(self, keys) -> list[str]:
         """format_key of each key, remembered for the first BALL_ELEMENT_CAP keys seen.
@@ -172,9 +190,7 @@ class GroupBackend:
 
     def check_key(self, key: tuple) -> None:
         """Reject keys that are not normal forms of this backend."""
-        raise NotImplementedError
-
-    def _check_int_tuple(self, key, arity: int) -> None:
+        arity = len(self.identity_key)
         if not (isinstance(key, tuple) and len(key) == arity and all(isinstance(x, int) for x in key)):
             raise UsageError(f"{key!r} is not a {self.spec} normal form")
 
@@ -285,33 +301,12 @@ class GroupBackend:
         return key
 
 
-def _parse_int_tuple(text: str, arity: int, spec: str, line: int | None) -> tuple:
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParseError(f"{spec} element must look like ({','.join('i' + str(j + 1) for j in range(arity))})",
-                         line=line, column=1)
-    parts = s[1:-1].split(",")
-    if len(parts) != arity:
-        raise ParseError(f"expected {arity} coordinates, got {len(parts)}", line=line, column=1)
-    values = []
-    for part in parts:
-        part = part.strip()
-        if not re.fullmatch(r"-?\d+", part):
-            raise ParseError(f"bad integer coordinate {part!r}", line=line, column=1)
-        values.append(int(part))
-    return tuple(values)
-
-
-def _format_int_tuple(key: tuple) -> str:
-    return "(" + ",".join(str(x) for x in key) + ")"
-
-
 class LatticeBackend(GroupBackend):
     """The lattice Z^d under componentwise addition."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise UsageError("lattice dimension must be at least 1")
+        if not 1 <= dim <= LATTICE_DIM_CAP:
+            raise UsageError(f"lattice dimension must be between 1 and {LATTICE_DIM_CAP}")
         super().__init__()
         self.dim = dim
         self.spec = f"zd:{dim}"
@@ -359,15 +354,6 @@ class LatticeBackend(GroupBackend):
         if tuple(k * y for y in h) == g:
             return k
         return None
-
-    def parse_key(self, text, line=None):
-        return _parse_int_tuple(text, self.dim, self.spec, line)
-
-    def format_key(self, key):
-        return _format_int_tuple(key)
-
-    def check_key(self, key):
-        self._check_int_tuple(key, self.dim)
 
 
 class FreeBackend(GroupBackend):
@@ -544,9 +530,6 @@ class KleinBackend(GroupBackend):
     def parse_key(self, text, line=None):
         return self._parse_word(text, self._letter_gens, line)
 
-    def check_key(self, key):
-        self._check_int_tuple(key, 2)
-
     def format_key(self, key):
         a, b = key
         parts = []
@@ -612,15 +595,6 @@ class HeisenbergBackend(GroupBackend):
             return None
         return k if self.pow_key(h, k) == g else None
 
-    def parse_key(self, text, line=None):
-        return _parse_int_tuple(text, 3, self.spec, line)
-
-    def format_key(self, key):
-        return _format_int_tuple(key)
-
-    def check_key(self, key):
-        self._check_int_tuple(key, 3)
-
 
 _BACKEND_CACHE: dict[str, GroupBackend] = {}
 
@@ -651,13 +625,3 @@ def _parse_spec_int(spec: str, tail: str) -> int:
     if not re.fullmatch(r"\d+", tail):
         raise UsageError(f"bad numeric parameter in group spec {spec!r}")
     return int(tail)
-
-
-# module-level conveniences for the element API
-
-def primitive_root(g: GroupElement) -> tuple[GroupElement, int]:
-    return g.backend.primitive_root(g)
-
-
-def in_cyclic(g: GroupElement, h: GroupElement) -> Optional[int]:
-    return g.backend.in_cyclic(g, h)

@@ -78,10 +78,6 @@ class FiniteSubset:
         _check_same_backend(self, other)
         return self._keyset <= other._keyset
 
-    def inverse_set(self) -> "FiniteSubset":
-        inv = self.backend.inv_key
-        return FiniteSubset.from_keys(self.backend, (inv(k) for k in self._keys))
-
     def translate_left(self, g: GroupElement) -> "FiniteSubset":
         mul = self.backend.mul_key
         return FiniteSubset.from_keys(self.backend, (mul(g.key, k) for k in self._keys))

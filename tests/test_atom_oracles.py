@@ -71,6 +71,8 @@ def oracle_report(law, U, C, n, k):
         witness["min_factorizations"] = fewest
         return LawReport(law, VERDICT_HOLDS if fewest >= 2 else VERDICT_VIOLATED, fewest - 2, witness)
     if law == "atom_conjecture":
+        if len(U) < n:
+            return LawReport(law, VERDICT_HYPOTHESIS_NOT_MET, None, witness, f"|U| = {len(U)} < n = {n}")
         if len(U) == n:
             return LawReport(law, VERDICT_HOLDS, 0, witness)
         return LawReport(law, VERDICT_FINDING, len(U) - n, witness, "atom larger than n")

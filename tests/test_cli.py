@@ -293,6 +293,43 @@ def test_explore_numeric_backends_or_laws_is_a_usage_error(tmp_path, capsys, nam
     assert err.startswith("error: campaign ") and "must be a string or a list, got " in err
 
 
+@pytest.mark.parametrize("names, repeated", [
+    ({"backends": ["zd:1", " ZD:1"], "laws": ["kempermann"]}, "backends repeat zd:1"),
+    ({"backends": ["zd:1"], "laws": ["kempermann", "kempermann"]}, "laws repeat kempermann"),
+])
+def test_explore_repeated_backend_or_law_exits_2(tmp_path, capsys, names, repeated):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({**names, "budget": 3, "radius": 2, "sizes": [1, 3], "seed": 1}))
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run_cli(capsys, "explore", "--config", str(config), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: campaign {repeated}: ")
+    assert not out.exists()
+
+
+def test_explore_klein_family_above_the_product_cap_exits_2(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["klein"], "laws": ["klein_grid"], "budget": 1,
+                                  "m_values": [100000], "seed": 1}))
+    code, _, err = run_cli(capsys, "explore", "--config", str(config))
+    assert code == 2 and "grid family at m = 100000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("example", "--name", "klein-grid", "--m", "100000"),
+    ("example", "--name", "klein-union", "--m", "100000"),
+    ("example", "--name", "c-lower", "--k", "100000"),
+])
+def test_example_above_the_product_cap_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: the Klein ")
+
+
+def test_sumset_lattice_dimension_above_the_cap_exits_2(z_files, capsys):
+    code, _, err = run_cli(capsys, "sumset", *z_files, "--group", "zd:1000000000000000000")
+    assert code == 2 and "lattice dimension must be between 1 and 64" in err
+
+
 def test_explore_non_integer_jobs_exits_2(tmp_path):
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 1, "seed": 1}))

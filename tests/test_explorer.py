@@ -158,6 +158,21 @@ def test_campaign_names_must_be_a_string_or_a_list(names, problem):
         Campaign.from_dict(names)
 
 
+@pytest.mark.parametrize("names, problem", [
+    ({"backends": ("zd:1", "zd:1"), "laws": ("kempermann",)}, "campaign backends repeat zd:1: 'zd:1' and 'zd:1'"),
+    ({"backends": ("zd:1", "klein", " ZD:1"), "laws": ("kempermann",)},
+     "campaign backends repeat zd:1: 'zd:1' and ' ZD:1'"),
+    ({"backends": ("zd:1",), "laws": ("kempermann", "hls", "kempermann")},
+     "campaign laws repeat kempermann: 'kempermann' and 'kempermann'"),
+])
+def test_campaign_rejects_a_repeated_backend_or_law(names, problem):
+    # each repeat would write every record of its cells once more
+    with pytest.raises(UsageError, match=f"^{re.escape(problem)}$"):
+        Campaign(**names, budget=3, radius=2, sizes=(1, 3))
+    with pytest.raises(UsageError, match=f"^{re.escape(problem)}$"):
+        Campaign.from_dict(dict(names))
+
+
 def test_campaign_reads_one_name_as_a_tuple_of_one():
     assert Campaign(backends="zd:1", laws="kempermann") == Campaign(backends=["zd:1"], laws=("kempermann",))
 
@@ -553,11 +568,6 @@ def test_hunt_3k4_checks_only_small_squares(monkeypatch, grid):
     assert checked == expected and expected
 
 
-def test_hunt_freiman_union_family():
-    findings = hunt("freiman_union", {"m_values": [1, 2, 3, 4, 5]})
-    assert findings == []
-
-
 @pytest.mark.parametrize("conjecture, grid, field", [
     ("3k4", {"sizes": [-1]}, "sizes"),
     ("3k4", {"sizes": [0, 4]}, "sizes"),
@@ -566,11 +576,11 @@ def test_hunt_freiman_union_family():
     ("3k4", {"radius": [2]}, "radius"),
     ("atom_conjecture", {"n_max": "x"}, "n_max"),
     ("atom_conjecture", {"x_radius": None}, "x_radius"),
-    ("freiman_union", {"m_values": 3}, "m_values"),
-    ("freiman_union", {"m_values": ["two"]}, "m_values"),
+    ("3k4", {"sizes": ["four"]}, "sizes"),
+    ("3k4", {"sizes": "4,5"}, "sizes"),
     ("3k4", {"backend": "zd:1", "span": -3}, "span"),
     ("3k4", {"sizes": []}, "sizes"),
-    ("freiman_union", {"m_values": []}, "m_values"),
+    ("3k4", {"sizes": [[4]]}, "sizes"),
     ("atom_conjecture", {"backend": "zd:1", "span": 3, "n_max": 0}, "n_max"),
     ("3k4", {"backend": "zd:1", "span": 3.7}, "span"),
     ("3k4", {"backend": "zd:1", "span": 3.0}, "span"),
@@ -579,7 +589,7 @@ def test_hunt_freiman_union_family():
     ("3k4", {"radius": True}, "radius"),
     ("atom_conjecture", {"backend": "zd:1", "span": 2, "n_max": "2"}, "n_max"),
     ("atom_conjecture", {"backend": "zd:1", "span": 2, "x_radius": float("inf")}, "x_radius"),
-    ("freiman_union", {"m_values": [1, True]}, "m_values"),
+    ("3k4", {"sizes": [4, True]}, "sizes"),
 ])
 def test_hunt_rejects_malformed_grid_naming_the_field(conjecture, grid, field):
     with pytest.raises(UsageError, match=f"'{field}'"):
@@ -594,6 +604,9 @@ def test_hunt_grid_is_an_object():
 def test_hunt_unknown_conjecture():
     with pytest.raises(UsageError):
         hunt("p_equals_np", {})
+    # the union family never meets the 10/3 hypothesis, so it has no hunt
+    with pytest.raises(UsageError, match="unknown conjecture id 'freiman_union'"):
+        hunt("freiman_union", {"m_values": [1, 2, 3]})
 
 
 def test_atom_law_sizes_above_the_c_cap_are_skipped():

@@ -439,6 +439,18 @@ def test_backend_spec_round_trip():
         backend_from_spec("cyclic:5")
 
 
+@pytest.mark.parametrize("spec", ["zd:0", "zd:65", "zd:1000000000000000000"])
+def test_lattice_dimension_outside_1_to_64_is_a_usage_error(spec):
+    with pytest.raises(UsageError, match="^lattice dimension must be between 1 and 64$"):
+        backend_from_spec(spec)
+
+
+def test_lattice_dimension_64_is_accepted():
+    backend = backend_from_spec("zd:64")
+    assert backend.identity_key == (0,) * 64
+    assert backend.parse_key("(" + ",".join(["1"] * 64) + ")") == (1,) * 64
+
+
 def test_check_key_rejects_malformed(z2, free2, klein, heis):
     from sumsetlab.setops import FiniteSubset
 

@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from sumsetlab.errors import DomainError, UnsupportedOperationError
+from sumsetlab import laws
+from sumsetlab.errors import DomainError, ResourceLimitError, UnsupportedOperationError
 from sumsetlab.groups import backend_from_spec
 from sumsetlab.isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from sumsetlab.laws import (
@@ -31,6 +32,7 @@ from sumsetlab.laws import (
     example_klein_grid,
     example_klein_union,
     klein_grid_sets,
+    klein_union_set,
     replay,
     standard_triple,
 )
@@ -460,6 +462,32 @@ def test_klein_union_sits_at_ten_thirds():
         assert 3 * report.witness["square_size"] == 10 * len(A) - 13
 
 
+def test_klein_families_cap_their_products_at_the_table_cap(monkeypatch):
+    # the grid needs 3 m^2 products and the union (3m + 1)^2
+    assert len(klein_union_set(341)) == 1024
+    with pytest.raises(ResourceLimitError, match="union family at m = 342 needs 1054729 products"):
+        klein_union_set(342)
+    with pytest.raises(ResourceLimitError, match="grid family at m = 592 needs 1051392 products"):
+        klein_grid_sets(592)
+    monkeypatch.setattr(laws, "PRODUCT_TABLE_CAP", 300)
+    assert len(klein_grid_sets(10)[1]) == 100
+    with pytest.raises(ResourceLimitError):
+        klein_grid_sets(11)
+    # c_lower at k builds the grid at m = (k + 3) // 2
+    assert check_c_lower(18).witness["m"] == 10
+    with pytest.raises(ResourceLimitError, match="grid family at m = 11 "):
+        check_c_lower(19)
+
+
+def test_atom_conjecture_set_below_n_is_not_an_atom(z1):
+    U = FiniteSubset.from_keys(z1, [(0,), (1,)])
+    C = FiniteSubset.from_keys(z1, [(0,), (1,), (2,)])
+    report = LAWS["atom_conjecture"].lemma(U, C, 3, None)
+    assert (report.verdict, report.slack, report.detail) == (VERDICT_HYPOTHESIS_NOT_MET, None, "|U| = 2 < n = 3")
+    report = LAWS["atom_conjecture"].lemma(U, C, 1, None)
+    assert (report.verdict, report.slack, report.detail) == (VERDICT_FINDING, 1, "atom larger than n")
+
+
 def test_family_domain_errors():
     with pytest.raises(DomainError):
         example_klein_grid(0)
@@ -551,6 +579,6 @@ def test_every_report_has_single_known_verdict():
 
 
 def test_law_status_partition():
-    assert CONJECTURE_LAWS == {"atom_conjecture", "freiman_union"}
+    assert CONJECTURE_LAWS == {"atom_conjecture"}
     assert "kempermann" in THEOREM_LAWS and "uvk" in THEOREM_LAWS
     assert not (THEOREM_LAWS & CONJECTURE_LAWS)
