@@ -48,4 +48,4 @@ from .isoperimetry import (
 from .reports import LawReport
 from . import explorer, laws
 
-__version__ = "0.1.0"
+__version__ = explorer.ARTIFACT_VERSION

@@ -206,13 +206,10 @@ def _cmd_report(args) -> int:
     rows = summarize(read_records(args.run))
     header = ["law", "holds", "violated", "hypothesis_not_met", "finding", "skipped",
               "min_slack", "max_slack"]
-    if args.format == "json":
-        _emit(args, [], rows)
-    else:
-        csv_lines = [",".join(header)]
-        for row in rows:
-            csv_lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
-        _emit(args, csv_lines, rows)
+    csv_lines = [",".join(header)]
+    for row in rows:
+        csv_lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
+    _emit(args, csv_lines, rows)
     violated = any(row["violated"] for row in rows if row["law"] in THEOREM_LAWS)
     return 1 if violated else 0
 

@@ -20,11 +20,13 @@ import itertools
 import json
 import math
 import random
+import re
+import sys
 import time
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError, ResourceLimitError, UsageError
-from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, backend_from_spec
+from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, _digit_limit, backend_from_spec
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4
 from .reports import LawReport, VERDICT_FINDING, VERDICT_SKIPPED, VERDICT_VIOLATED, VERDICTS
 from .setops import FiniteSubset, ProductTable
@@ -101,13 +103,13 @@ class Campaign:
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise UsageError(f"unsupported campaign schema_version {version}")
-        kwargs = {f.name: data[f.name] for f in dataclasses.fields(cls)
-                  if f.default is not dataclasses.MISSING and f.name in data}
+        fields = dataclasses.fields(cls)
+        names = {f.name for f in fields} | {"schema_version", "backend"}
+        unknown = [key for key in data if key not in names]
+        if unknown:
+            raise UsageError(f"unknown campaign config keys: {unknown}")
+        kwargs = {f.name: data[f.name] for f in fields if f.default is not dataclasses.MISSING and f.name in data}
         return cls(backends=data.get("backends") or data.get("backend"), laws=data.get("laws"), **kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "Campaign":
-        return cls.from_dict(load_config(path))
 
 
 def _names(value, what: str) -> tuple:
@@ -149,14 +151,33 @@ def load_config(path) -> dict:
     """A campaign config file's JSON object; malformed JSON is a ParseError at its position."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"campaign config {path}: {exc.msg}", exc.lineno, exc.colno) from None
+            text = fh.read()
         except UnicodeDecodeError:
             raise ParseError(f"campaign config {path} is not UTF-8 text") from None
+    data = _json_loads(text, f"campaign config {path}")
     if not isinstance(data, dict):
         raise ParseError(f"campaign config {path} is not a JSON object")
     return data
+
+
+# a JSON string, skipped over, or an integer literal (no fraction or exponent) with its digits
+_JSON_STRING_OR_INT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])-?(\d+)(?![\w.])')
+
+
+def _json_loads(text: str, where: str, line: int = 1):
+    """json.loads(text); malformed JSON, or an integer past Python's digit limit, is a ParseError.
+
+    Lines count from `line`. json gives no position for the digit limit: it is the first such literal.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc.msg}", line + exc.lineno - 1, exc.colno) from None
+    except ValueError:
+        m = next(m for m in _JSON_STRING_OR_INT.finditer(text) if len(m[1] or "") > sys.get_int_max_str_digits())
+        pos = m.start()
+        raise ParseError(f"{where}: {_digit_limit(m[1])}",
+                         line + text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)) from None
 
 
 @dataclass
@@ -317,10 +338,7 @@ def read_records(path) -> list[dict]:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"record store {path}: {exc.msg}", lineno, exc.colno) from None
+                record = _json_loads(line, f"record store {path}", lineno)
                 version = record.get("schema_version") if isinstance(record, dict) else None
                 if version != SCHEMA_VERSION:
                     raise ParseError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from math import gcd
 from typing import Optional
 
@@ -28,6 +29,8 @@ from .errors import DomainError, ParseError, ResourceLimitError, UsageError
 DEFAULT_BALL_CAP = 12
 BALL_ELEMENT_CAP = 1 << 20
 LATTICE_DIM_CAP = 64
+# trial division up to sqrt(2^40), about 10^6 steps
+DIVISOR_CAP = 1 << 40
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WORD_TOKEN = re.compile(r"\S+")
@@ -35,10 +38,12 @@ _FACTOR = re.compile(r"([a-z])(?:\^(-?\d+))?\Z")
 
 
 def divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in increasing order; n must be nonzero."""
+    """Positive divisors of |n| in increasing order; n must be nonzero and |n| <= DIVISOR_CAP."""
     n = abs(n)
     if n == 0:
         raise DomainError("divisors of 0 are not defined")
+    if n > DIVISOR_CAP:
+        raise ResourceLimitError(f"a {n.bit_length()}-bit integer exceeds the divisor cap {DIVISOR_CAP}")
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -146,8 +151,19 @@ class GroupBackend:
         raise NotImplementedError
 
     def in_cyclic_key(self, g: tuple, h: tuple) -> Optional[int]:
-        """Return the unique k with h^k == g, or None; h must not be the identity."""
-        raise NotImplementedError
+        """Return the unique k with h^k == g, or None; h must not be the identity.
+
+        This default holds for integer-tuple keys whose first coordinate
+        where h is nonzero is, in h^k, k times h's: true on Z^d, Klein and
+        Heisenberg. It reads the only possible k off that coordinate and
+        returns it when the division is exact and pow_key(h, k) == g. A
+        backend whose keys do not scale this way must override it.
+        """
+        i = 0
+        while not h[i]:
+            i += 1
+        k, r = divmod(g[i], h[i])
+        return k if not r and self.pow_key(h, k) == g else None
 
     # the integer-tuple normal form "(i1,...,id)" of arity len(identity_key);
     # the free backend overrides all three, Klein its parsing and formatting
@@ -166,7 +182,7 @@ class GroupBackend:
             part = part.strip()
             if not re.fullmatch(r"-?\d+", part):
                 raise ParseError(f"bad integer coordinate {part!r}", line=line, column=1)
-            values.append(int(part))
+            values.append(_parse_int(part, line=line, column=1))
         return tuple(values)
 
     def format_key(self, key: tuple) -> str:
@@ -294,7 +310,7 @@ class GroupBackend:
             gen = letter_gens.get(letter)
             if gen is None:
                 raise ParseError(f"generator {letter!r} not in group {self.spec}", line=line, column=col)
-            exponent = int(fm.group(2)) if fm.group(2) else 1
+            exponent = _parse_int(fm.group(2), line=line, column=col) if fm.group(2) else 1
             key = self.mul_key(key, self.pow_key(gen, exponent))
         if not found:
             raise ParseError("empty element text", line=line, column=1)
@@ -338,22 +354,6 @@ class LatticeBackend(GroupBackend):
         for x in a:
             e = gcd(e, x)
         return tuple(x // e for x in a), e
-
-    def in_cyclic_key(self, g, h):
-        if g == self.identity_key:
-            return 0
-        k = None
-        for x, y in zip(g, h):
-            if y:
-                if x % y:
-                    return None
-                k = x // y
-                break
-        if k is None:
-            return None
-        if tuple(k * y for y in h) == g:
-            return k
-        return None
 
 
 class FreeBackend(GroupBackend):
@@ -509,24 +509,6 @@ class KleinBackend(GroupBackend):
         e = gcd(abs(a) // 2, abs(b))
         return (a // e, b // e), e
 
-    def in_cyclic_key(self, g, h):
-        if g == self.identity_key:
-            return 0
-        a, b = g
-        c, d = h
-        if c == 0:
-            if a != 0 or b % d:
-                return None
-            return b // d
-        if a % c:
-            return None
-        k = a // c
-        if c % 2 == 0:
-            return k if k * d == b else None
-        if k % 2 == 0:
-            return k if b == 0 else None
-        return k if b == d else None
-
     def parse_key(self, text, line=None):
         return self._parse_word(text, self._letter_gens, line)
 
@@ -581,20 +563,6 @@ class HeisenbergBackend(GroupBackend):
                 return (px, py, num // e), e
         raise AssertionError("unreachable: e = 1 always succeeds")
 
-    def in_cyclic_key(self, g, h):
-        if g == self.identity_key:
-            return 0
-        x, y, z = h
-        if x:
-            k, r = divmod(g[0], x)
-        elif y:
-            k, r = divmod(g[1], y)
-        else:
-            k, r = divmod(g[2], z)
-        if r:
-            return None
-        return k if self.pow_key(h, k) == g else None
-
 
 _BACKEND_CACHE: dict[str, GroupBackend] = {}
 
@@ -624,4 +592,16 @@ def backend_from_spec(spec: str) -> GroupBackend:
 def _parse_spec_int(spec: str, tail: str) -> int:
     if not re.fullmatch(r"\d+", tail):
         raise UsageError(f"bad numeric parameter in group spec {spec!r}")
-    return int(tail)
+    return _parse_int(tail, UsageError)
+
+
+def _parse_int(text: str, error=ParseError, **where) -> int:
+    """int(text) of a signed decimal; past Python's digit limit it raises error(message, **where)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(_digit_limit(text), **where) from None
+
+
+def _digit_limit(text: str) -> str:
+    return f"an integer of {len(text.lstrip('-'))} digits exceeds the limit of {sys.get_int_max_str_digits()}"

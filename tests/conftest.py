@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from sumsetlab.groups import backend_from_spec
@@ -33,3 +35,12 @@ def klein():
 @pytest.fixture
 def heis():
     return backend_from_spec("heis")
+
+
+@pytest.fixture
+def too_long_int():
+    """A decimal integer one digit past the limit of Python's int(str)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts decimal strings of any length")
+    return "9" * (limit + 1)

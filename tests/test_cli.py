@@ -504,3 +504,49 @@ def test_report_csv_format_prints_the_table(tmp_path, monkeypatch, capsys, from_
     assert code == 0
     assert out == run_cli(capsys, "report", "--run", str(store), "--format", "text")[1]
     assert out.splitlines()[0].startswith("law,holds,violated")
+
+
+@pytest.mark.parametrize("site", ["set file", "word exponent", "group spec", "config", "store"])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, z_files, capsys, too_long_int, site):
+    big = tmp_path / "big.txt"
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 1}))
+    if site == "set file":
+        big.write_text(f"({too_long_int})\n")
+        argv = ["sumset", str(big), z_files[1], "--group", "zd:1"]
+    elif site == "word exponent":
+        big.write_text(f"u^{too_long_int}\n")
+        argv = ["sumset", str(big), str(big), "--group", "klein"]
+    elif site == "group spec":
+        argv = ["sumset", *z_files, "--group", "zd:" + too_long_int]
+    elif site == "config":
+        config.write_text(f'{{"backends": ["zd:1"], "laws": ["kempermann"], "seed": {too_long_int}}}')
+        argv = ["explore", "--config", str(config)]
+    else:
+        store = tmp_path / "st.jsonl"
+        run_cli(capsys, "explore", "--config", str(config), "--out", str(store))
+        text = store.read_text()
+        store.write_text(text.replace('"index":1', f'"index":{too_long_int}'))
+        argv = ["report", "--run", str(store)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "digits exceeds the limit" in err
+
+
+def test_verify_3k4_past_the_divisor_cap_exits_2(tmp_path, capsys):
+    # the cover search takes the divisors of each quotient's exponent, up to 3 * 10**16
+    afile = tmp_path / "A.txt"
+    afile.write_text("".join(f"({i * 10**16})\n" for i in range(4)))
+    code, out, err = run_cli(capsys, "verify", "--law", "3k4", "--group", "zd:1", "--a-file", str(afile))
+    assert (code, out) == (2, "")
+    assert err == "error: a 55-bit integer exceeds the divisor cap 1099511627776\n"
+
+
+def test_explore_unknown_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budjet": 2, "seed": 1}))
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run_cli(capsys, "explore", "--config", str(config), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: unknown campaign config keys: ['budjet']\n"
+    assert not out.exists()

@@ -15,6 +15,7 @@ from sumsetlab.explorer import (
     Campaign,
     extremal_pairs,
     hunt,
+    load_config,
     read_records,
     run_campaign,
     sample_subset,
@@ -173,6 +174,17 @@ def test_campaign_rejects_a_repeated_backend_or_law(names, problem):
         Campaign.from_dict(dict(names))
 
 
+@pytest.mark.parametrize("extra, unknown", [
+    ({"budjet": 2}, "['budjet']"),
+    ({"Seed": 1, "hunts": [], "budget": 2}, "['Seed', 'hunts']"),
+])
+def test_campaign_from_dict_names_unknown_keys(extra, unknown):
+    # an unknown key would otherwise leave its field at the default unnoticed
+    data = {"schema_version": 1, "backend": "zd:1", "laws": ["kempermann"], **extra}
+    with pytest.raises(UsageError, match=f"^unknown campaign config keys: {re.escape(unknown)}$"):
+        Campaign.from_dict(data)
+
+
 def test_campaign_reads_one_name_as_a_tuple_of_one():
     assert Campaign(backends="zd:1", laws="kempermann") == Campaign(backends=["zd:1"], laws=("kempermann",))
 
@@ -194,13 +206,13 @@ def test_campaign_config_round_trip(tmp_path):
     }
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
-    campaign = Campaign.from_file(path)
+    campaign = Campaign.from_dict(load_config(path))
     assert campaign.backends == ("zd:1",)
     assert campaign.sizes == (1, 5)
     bad = dict(config, schema_version=99)
     path.write_text(json.dumps(bad))
     with pytest.raises(UsageError):
-        Campaign.from_file(path)
+        Campaign.from_dict(load_config(path))
 
 
 def test_run_campaign_counts_and_clean(tmp_path):
@@ -622,6 +634,27 @@ def test_read_records_rejects_another_schema_version(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, run.records[:2] + [dict(run.records[2], schema_version=99)])
     with pytest.raises(ParseError, match="schema_version 99 .* at line 3"):
+        read_records(path)
+
+
+def test_config_integer_past_the_digit_limit_is_a_parse_error(tmp_path, too_long_int):
+    # a string and a float of as many digits come first; json converts both
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"backends": ["zd:1"], "note": "{too_long_int}", "x": {too_long_int}.5,\n'
+                    f' "seed": -{too_long_int}}}\n')
+    with pytest.raises(ParseError, match=f"digits exceeds the limit .* at line 2, column 10$"):
+        load_config(path)
+
+
+def test_read_records_integer_past_the_digit_limit_is_a_parse_error(tmp_path, too_long_int):
+    run = run_campaign(small_campaign())
+    path = tmp_path / "records.jsonl"
+    write_records(path, run.records[:3])
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace('"index":1', f'"index":{too_long_int}')
+    path.write_text("\n".join(lines) + "\n")
+    column = lines[1].index(too_long_int) + 1
+    with pytest.raises(ParseError, match=f"^record store .* digits exceeds the limit .* at line 2, column {column}$"):
         read_records(path)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UsageError
-from sumsetlab.groups import FreeBackend, backend_from_spec
+from sumsetlab.groups import DIVISOR_CAP, FreeBackend, backend_from_spec, divisors
 from sumsetlab.setops import FiniteSubset, product_set, product_size
 
 
@@ -266,6 +266,32 @@ def test_primitive_root_maximality_brute_force(any_backend):
         assert oracle == e
 
 
+# -- divisors ------------------------------------------------------------------
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 80):
+        expected = [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == divisors(-n) == expected
+
+
+def test_divisors_at_the_cap():
+    assert DIVISOR_CAP == 1 << 40
+    assert divisors(DIVISOR_CAP) == divisors(-DIVISOR_CAP) == [1 << i for i in range(41)]
+
+
+@pytest.mark.parametrize("n", [DIVISOR_CAP + 1, -(DIVISOR_CAP + 1), 10**100])
+def test_divisors_above_the_cap_is_a_resource_limit(n):
+    # 10**100 would take 10**50 trial divisions, so this also shows the check comes first
+    with pytest.raises(ResourceLimitError, match="-bit integer exceeds the divisor cap 1099511627776$"):
+        divisors(n)
+
+
+def test_heisenberg_root_above_the_divisor_cap_is_a_resource_limit(heis):
+    with pytest.raises(ResourceLimitError):
+        heis.primitive_root_key((2**41, 2**41, 0))
+
+
 # -- cyclic membership --------------------------------------------------------
 
 
@@ -290,13 +316,31 @@ def test_in_cyclic_matches_bounded_brute_force(any_backend):
     for h in ball:
         if h == id_key:
             continue
-        powers = {}
-        for k in range(-12, 13):
-            powers.setdefault(any_backend.pow_key(h, k), k)
+        # h^k by repeated multiplication, independent of pow_key
+        powers = {id_key: 0}
+        for step, sign in ((h, 1), (any_backend.inv_key(h), -1)):
+            acc = id_key
+            for k in range(1, 13):
+                acc = any_backend.mul_key(acc, step)
+                powers.setdefault(acc, sign * k)
         for g in ball:
             got = any_backend.in_cyclic_key(g, h)
             want = powers.get(g)
             assert got == want, f"in_cyclic({g}, {h}) = {got}, brute force {want}"
+
+
+@pytest.mark.parametrize("spec, g, h, k", [
+    ("zd:2", (2 * 10**9, 3 * 10**9), (2, 3), 10**9),
+    ("zd:2", (2 * 10**9, 3 * 10**9 + 1), (2, 3), None),
+    # h zero in its first coordinate: k comes from the second
+    ("klein", (0, 5 * 10**9), (0, 5), 10**9),
+    # odd u-exponent: an even power drops the v-coordinate
+    ("klein", (2 * 10**9, 0), (1, 7), 2 * 10**9),
+    ("heis", (0, 10**9, 2 * 10**9), (0, 1, 2), 10**9),
+    ("heis", (0, 0, 7 * 10**9), (0, 0, 7), 10**9),
+])
+def test_in_cyclic_exact_at_large_exponents(spec, g, h, k):
+    assert backend_from_spec(spec).in_cyclic_key(g, h) == k
 
 
 # -- balls ---------------------------------------------------------------------
@@ -419,6 +463,23 @@ def test_parse_errors(z2, klein, free2):
     except ParseError as exc:
         err = exc
     assert err is not None and err.column == 3
+
+
+def test_parse_key_integer_past_the_digit_limit_is_a_parse_error(z2, too_long_int):
+    with pytest.raises(ParseError, match="digits exceeds the limit") as exc:
+        z2.parse_key(f"(1, {too_long_int})", line=4)
+    assert (exc.value.line, exc.value.column) == (4, 1)
+
+
+def test_word_exponent_past_the_digit_limit_is_a_parse_error(klein, too_long_int):
+    with pytest.raises(ParseError, match="digits exceeds the limit") as exc:
+        klein.parse_key(f"v u^{too_long_int}", line=2)
+    assert (exc.value.line, exc.value.column) == (2, 3)
+
+
+def test_spec_parameter_past_the_digit_limit_is_a_usage_error(too_long_int):
+    with pytest.raises(UsageError, match="^an integer of [0-9]+ digits exceeds the limit of [0-9]+$"):
+        backend_from_spec("zd:" + too_long_int)
 
 
 def test_parse_normalizes_words(free2, klein):
