@@ -21,9 +21,6 @@ from .setops import (
     DimensionReport,
     FiniteSubset,
     ProgressionDescriptor,
-    boundary_set,
-    coset_classes,
-    cover_by_two_progressions,
     cyclic_hull_contains,
     deficiency,
     detect_progression,
@@ -36,14 +33,11 @@ from .setops import (
 )
 from .isoperimetry import (
     CERTIFIED_EXACT,
-    HEURISTIC_STABLE,
     UPPER_BOUND_ONLY,
     IsoInstance,
     IsoResult,
     check_intersection_property,
-    enumerate_fragments,
     kappa_restricted,
-    stability_scan,
 )
 from .reports import LawReport
 from . import explorer, laws

@@ -131,6 +131,9 @@ def _cmd_verify(args) -> int:
     law = LAWS.get(args.law)
     if law is None:
         raise UsageError(f"unknown law id {args.law!r}")
+    reason = law.skip(backend)
+    if reason is not None:
+        raise UsageError(f"law {args.law} does not apply to {backend.spec}: {reason}")
     flags = {"n": args.n, "k": args.k, "d": args.d, "m": args.m,
              "use_general_bound": args.general_bound, "sizes": (2, args.max_size)}
     inputs = {name: _verify_input(args, backend, name) for name in law.sets}

@@ -186,7 +186,7 @@ class GroupBackend:
         return tuple(values)
 
     def format_key(self, key: tuple) -> str:
-        return "(" + ",".join(str(x) for x in key) + ")"
+        return "(" + ",".join(map(_format_int, key)) + ")"
 
     def format_keys(self, keys) -> list[str]:
         """format_key of each key, remembered for the first BALL_ELEMENT_CAP keys seen.
@@ -516,9 +516,9 @@ class KleinBackend(GroupBackend):
         a, b = key
         parts = []
         if a:
-            parts.append("u" if a == 1 else f"u^{a}")
+            parts.append("u" if a == 1 else "u^" + _format_int(a))
         if b:
-            parts.append("v" if b == 1 else f"v^{b}")
+            parts.append("v" if b == 1 else "v^" + _format_int(b))
         return " ".join(parts) if parts else "1"
 
 
@@ -601,6 +601,15 @@ def _parse_int(text: str, error=ParseError, **where) -> int:
         return int(text)
     except ValueError:
         raise error(_digit_limit(text), **where) from None
+
+
+def _format_int(x: int) -> str:
+    """str(x); past Python's digit limit it raises ResourceLimitError."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"cannot print an integer of more than {limit} digits") from None
 
 
 def _digit_limit(text: str) -> str:

@@ -10,7 +10,7 @@ everything else is labeled a window-restricted upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ResourceLimitError, UsageError
 from .reports import (
@@ -22,7 +22,6 @@ from .reports import (
 from .setops import FiniteSubset, ProductTable
 
 CERTIFIED_EXACT = "certified_exact"
-HEURISTIC_STABLE = "heuristic_stable"
 UPPER_BOUND_ONLY = "upper_bound_only"
 
 BNB_WINDOW_CAP = 64
@@ -200,43 +199,6 @@ def kappa_restricted(inst: IsoInstance, fragment_limit: int = FRAGMENT_SAMPLE_LI
     fragments = tuple(FiniteSubset._from_keys(backend, ks) for ks in frag_keys)
     certificate = CERTIFIED_EXACT if value == global_lower else UPPER_BOUND_ONLY
     return IsoResult(value, atoms, fragments, certificate, inst)
-
-
-def enumerate_fragments(inst: IsoInstance, max_count: int) -> list[FiniteSubset]:
-    """Up to max_count sets F in the window with |F| >= n attaining kappa_hat."""
-    if max_count <= 0:
-        return []
-    if len(inst.window) > ENUM_WINDOW_CAP:
-        raise ResourceLimitError(
-            f"window of size {len(inst.window)} exceeds the enumeration cap {ENUM_WINDOW_CAP}"
-        )
-    return list(kappa_restricted(inst, max_count).fragments_sample)
-
-
-def stability_scan(C: FiniteSubset, n: int, radii) -> IsoResult:
-    """Approximate the unrestricted value by growing ball windows.
-
-    Stops early once a window certifies exactness; otherwise labels the
-    result heuristic_stable when the last two radii agree, and a plain
-    upper bound when they do not.
-    """
-    radii = list(radii)
-    if not radii:
-        raise UsageError("at least one radius is required")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise UsageError("radii must be strictly increasing")
-    values = []
-    last = None
-    for radius in radii:
-        window = C.backend.ball(radius)
-        result = kappa_restricted(IsoInstance(C, n, window))
-        values.append(result.kappa_hat)
-        last = result
-        if result.certificate == CERTIFIED_EXACT:
-            return result
-    if len(values) >= 2 and values[-1] == values[-2]:
-        return replace(last, certificate=HEURISTIC_STABLE)
-    return last
 
 
 def check_intersection_property(U: FiniteSubset, F: FiniteSubset, n: int, certificate: str | None = None) -> LawReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError, UnsupportedOperationError, UsageError
 from .groups import GroupBackend, KleinBackend, LatticeBackend, backend_from_spec
-from .isoperimetry import CERTIFIED_EXACT, IsoInstance, IsoResult, kappa_restricted
+from .isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from .reports import (
     LawReport,
     VERDICT_FINDING,
@@ -255,18 +255,6 @@ def check_corollary_AB(A: FiniteSubset) -> LawReport:
 
 
 # -- atom lemmas -----------------------------------------------------------
-
-
-def check_atom_lemmas(C: FiniteSubset, n: int, result: IsoResult, k: int | None = None) -> list[LawReport]:
-    """One report per lemma per atom; everything is skipped without a certificate."""
-    if result.certificate != CERTIFIED_EXACT:
-        return [_uncertified(law, n, result) for law in ATOM_LAWS]
-    return [LAWS[law].lemma(U, C, n, k) for U in result.atoms for law in ATOM_LAWS]
-
-
-def _uncertified(law: str, n: int, result: IsoResult) -> LawReport:
-    """An atom lemma's report on a kappa result whose atoms are not certified."""
-    return LawReport(law, VERDICT_SKIPPED, None, {"n": n}, f"result certificate is {result.certificate}")
 
 
 def _atom_witness(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> dict:
@@ -546,16 +534,17 @@ class Law:
     way. Outside the atom lemmas, ``run`` calls its checker by the
     checker's name in this module, looked up at call time, so a wrapper
     installed on that name sees every call. An atom lemma's entry holds its
-    checker in ``lemma``; its ``run`` (once per certified atom),
-    :func:`replay` and :func:`check_atom_lemmas` read it from the entry at
-    call time, so an entry installed with a wrapped ``lemma`` sees every call.
+    checker in ``lemma``; its ``run`` (once per certified atom) and
+    :func:`replay` read it from the entry at call time, so an entry
+    installed with a wrapped ``lemma`` sees every call.
     """
 
     run: Callable[..., list[LawReport]]
     sets: tuple[str, ...] = ()
     params: tuple[str, ...] = ()
     status: str = THEOREM
-    # backend -> why a campaign skips the law there, or None where it applies
+    # backend -> why a campaign skips the law there and verify refuses it, or
+    # None where it applies
     skip: Callable[[GroupBackend], str | None] = lambda backend: None
     # (draw, grid params) -> the drawn inputs or a skip detail, where a
     # campaign draws other than one uniform subset per named set
@@ -612,7 +601,8 @@ def _atom_law(law: str, lemma: Callable, status: str = THEOREM) -> Law:
     def run(C, n, window):
         result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
         if result.certificate != CERTIFIED_EXACT:
-            return [_uncertified(law, n, result)]
+            detail = f"result certificate is {result.certificate}"
+            return [LawReport(law, VERDICT_SKIPPED, None, {"n": n}, detail)]
         check = LAWS[law].lemma
         return [check(U, C, n, None) for U in result.atoms]
 

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .groups import GroupBackend, GroupElement, LatticeBackend, divisors
 
-TWO_COVER_MAX_SIZE = 16
 PRODUCT_TABLE_CAP = 1 << 20  # window products a ProductTable numbers
 
 
@@ -65,10 +64,6 @@ class FiniteSubset:
 
     def contains_key(self, key: tuple) -> bool:
         return key in self._keyset
-
-    def union(self, other: "FiniteSubset") -> "FiniteSubset":
-        _check_same_backend(self, other)
-        return FiniteSubset.from_keys(self.backend, self._keys + other._keys)
 
     def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
         _check_same_backend(self, other)
@@ -249,41 +244,14 @@ class ProductTable:
             level = children
 
 
-def boundary_set(B: FiniteSubset, g: GroupElement) -> FiniteSubset:
-    """{x in B : g x not in B}; empty exactly when g B = B as sets."""
-    _check_element(B, g)
-    mul = B.backend.mul_key
-    gk = g.key
-    return FiniteSubset._from_keys(B.backend, tuple(x for x in B.keys if mul(gk, x) not in B._keyset))
-
-
-def coset_classes(B: FiniteSubset, g: GroupElement) -> list[FiniteSubset]:
-    """Partition of B into its intersections with right cosets <g> x."""
-    _check_element(B, g)
-    if g.is_identity():
-        raise DomainError("coset classes require g != 1")
-    backend = B.backend
-    mul, inv, member = backend.mul_key, backend.inv_key, backend.in_cyclic_key
-    reps: list[tuple] = []
-    classes: list[list[tuple]] = []
-    for x in B.keys:
-        for i, rep in enumerate(reps):
-            if member(mul(x, inv(rep)), g.key) is not None:
-                classes[i].append(x)
-                break
-        else:
-            reps.append(x)
-            classes.append([x])
-    return [FiniteSubset._from_keys(backend, tuple(members)) for members in classes]
-
-
 @dataclass(frozen=True)
 class ProgressionDescriptor:
     """The set {base * ratio^i : 0 <= i < length}.
 
-    Detection and covering always return descriptors whose base commutes
-    with the ratio; the parts produced by :func:`max_progression_partition`
-    are one-sided strings and need not commute.
+    :func:`detect_progression` and the cover search build descriptors
+    whose base commutes with the ratio; the parts produced by
+    :func:`max_progression_partition` are one-sided strings and need not
+    commute.
     """
 
     base: GroupElement
@@ -299,9 +267,6 @@ class ProgressionDescriptor:
             keys.append(cur)
             cur = mul(cur, self.ratio.key)
         return FiniteSubset.from_keys(backend, keys)
-
-    def commutes(self) -> bool:
-        return self.base * self.ratio == self.ratio * self.base
 
 
 @dataclass(frozen=True)
@@ -415,54 +380,6 @@ def min_progression_cover(A: FiniteSubset) -> Optional[int]:
         raise UsageError("progression covers are defined for |A| >= 2")
     desc = _min_cover_descriptor(A)
     return desc.length if desc is not None else None
-
-
-def _part_descriptor(backend: GroupBackend, keys: tuple) -> Optional[ProgressionDescriptor]:
-    if len(keys) == 1:
-        return ProgressionDescriptor(backend.element(keys[0]), backend.generators[0], 1)
-    return _min_cover_descriptor(FiniteSubset._from_keys(backend, keys))
-
-
-def cover_by_two_progressions(
-    A: FiniteSubset, budget: int
-) -> Optional[tuple[ProgressionDescriptor, Optional[ProgressionDescriptor]]]:
-    """Two progressions whose union contains A with total length <= budget.
-
-    Returns (descriptor, None) when a single progression within budget
-    suffices; None when no split of A works. Exhaustive over bipartitions
-    of A, so |A| is capped.
-    """
-    if len(A) < 2:
-        raise UsageError("two-progression covers are defined for |A| >= 2")
-    backend = A.backend
-    single = _min_cover_descriptor(A)
-    if single is not None and single.length <= budget:
-        return (single, None)
-    if len(A) > TWO_COVER_MAX_SIZE:
-        raise ResourceLimitError(f"|A| = {len(A)} exceeds the bipartition cap {TWO_COVER_MAX_SIZE}")
-    first, rest = A.keys[0], A.keys[1:]
-    best = None
-    best_key = None
-    for mask in range(1 << len(rest)):
-        left = [first]
-        right = []
-        for i, k in enumerate(rest):
-            (left if mask >> i & 1 else right).append(k)
-        if not right:
-            continue
-        d1 = _part_descriptor(backend, tuple(left))
-        if d1 is None:
-            continue
-        d2 = _part_descriptor(backend, tuple(right))
-        if d2 is None:
-            continue
-        total = d1.length + d2.length
-        if total > budget:
-            continue
-        key = (total, d1.base.key, d1.ratio.key, d2.base.key, d2.ratio.key)
-        if best_key is None or key < best_key:
-            best, best_key = (d1, d2), key
-    return best
 
 
 def dimension(A: FiniteSubset) -> DimensionReport:

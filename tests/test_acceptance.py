@@ -13,7 +13,8 @@ from sumsetlab.explorer import Campaign, hunt, run_campaign
 from sumsetlab.groups import backend_from_spec
 from sumsetlab.isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from sumsetlab.laws import (
-    check_atom_lemmas,
+    ATOM_LAWS,
+    LAWS,
     check_c_lower,
     check_equality_characterization,
     check_main_theorem,
@@ -170,7 +171,7 @@ def test_criterion_07_atom_lemma_suite():
         if result.certificate != CERTIFIED_EXACT:
             continue
         certified += 1
-        for report in check_atom_lemmas(C, n, result):
+        for report in (LAWS[law].lemma(U, C, n, None) for U in result.atoms for law in ATOM_LAWS):
             if report.verdict == VERDICT_VIOLATED:
                 violations.append(report)
             if report.law == "atom_conjecture" and report.verdict == VERDICT_FINDING:

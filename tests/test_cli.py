@@ -533,6 +533,32 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path, z_files, capsys, too_lon
     assert err.count("\n") == 1 and "digits exceeds the limit" in err
 
 
+@pytest.mark.parametrize("group", ["heis", "zd:1", "klein"])
+def test_printing_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys, too_long_int, group):
+    # each input parses, but a coordinate or exponent of its square has one digit too many
+    nines = too_long_int[:-1]
+    half = "1" + "0" * (len(nines) // 2)
+    text = {"heis": f"({half},{half},0)", "zd:1": f"({nines})", "klein": f"u^{nines}"}[group]
+    path = tmp_path / "big.txt"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "sumset", str(path), str(path), "--group", group)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot print an integer of more than {len(nines)} digits\n"
+
+
+@pytest.mark.parametrize("law, group, reason", [
+    ("klein_grid", "zd:1", "klein-specific family"),
+    ("c_lower", "zd:2", "klein-specific family"),
+    ("freiman_dim", "klein", "lattice backends only"),
+    ("uvk", "zd:2", "no non-commuting generator pair"),
+])
+def test_verify_law_its_backend_skips_exits_2(z_files, capsys, law, group, reason):
+    # the same reason a campaign records for skipping the law there; no input is read
+    code, out, err = run_cli(capsys, "verify", "--law", law, "--group", group, "--a-file", z_files[0])
+    assert (code, out) == (2, "")
+    assert err == f"error: law {law} does not apply to {group}: {reason}\n"
+
+
 def test_verify_3k4_past_the_divisor_cap_exits_2(tmp_path, capsys):
     # the cover search takes the divisors of each quotient's exponent, up to 3 * 10**16
     afile = tmp_path / "A.txt"

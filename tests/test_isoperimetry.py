@@ -12,13 +12,10 @@ from sumsetlab.groups import backend_from_spec
 from sumsetlab.isoperimetry import (
     CERTIFIED_EXACT,
     FRAGMENT_SAMPLE_LIMIT,
-    HEURISTIC_STABLE,
     UPPER_BOUND_ONLY,
     IsoInstance,
     check_intersection_property,
-    enumerate_fragments,
     kappa_restricted,
-    stability_scan,
 )
 from sumsetlab.setops import PRODUCT_TABLE_CAP, FiniteSubset, product_size
 
@@ -166,7 +163,7 @@ def test_kappa_matches_brute_force_random_windows(any_backend):
         # the fragment sample is the first minimizers in search order
         preorder = preorder_minimizers(C, n, window, minimizers)
         assert [F.keys for F in result.fragments_sample] == preorder[:FRAGMENT_SAMPLE_LIMIT]
-        frags = enumerate_fragments(IsoInstance(C, n, window), 10_000)
+        frags = kappa_restricted(IsoInstance(C, n, window), 10_000).fragments_sample
         assert sorted(F.keys for F in frags) == sorted(minimizers)
 
 
@@ -287,7 +284,7 @@ def test_certified_n1_ties_keep_search_order(z1):
     preorder = preorder_minimizers(C, 1, window, minimizers)
     assert len(preorder) == 49
     assert [F.keys for F in result.fragments_sample] == preorder[:FRAGMENT_SAMPLE_LIMIT]
-    assert [F.keys for F in enumerate_fragments(IsoInstance(C, 1, window), 100)] == preorder
+    assert [F.keys for F in kappa_restricted(IsoInstance(C, 1, window), 100).fragments_sample] == preorder
 
 
 def test_every_atom_attains_value_and_size(z1):
@@ -355,7 +352,7 @@ def test_fragments_intervals(z1):
     C = zset(z1, [0, 1, 2])
     window = zwindow(z1, -6, 6)
     inst = IsoInstance(C, 2, window)
-    frags = enumerate_fragments(inst, 50)
+    frags = kappa_restricted(inst, 50).fragments_sample
     assert frags
     for F in frags:
         values = [k[0] for k in F.keys]
@@ -368,50 +365,18 @@ def test_fragments_intervals(z1):
 def test_fragments_zero_count(z1):
     C = zset(z1, [0, 1, 2])
     inst = IsoInstance(C, 2, zwindow(z1, -6, 6))
-    assert enumerate_fragments(inst, 0) == []
+    assert kappa_restricted(inst, 0).fragments_sample == ()
 
 
 def test_fragment_count_matches_brute_force(z1):
     C = zset(z1, [0, 1, 3])
     window = zwindow(z1, -6, 6)
     inst = IsoInstance(C, 2, window)
-    frags = enumerate_fragments(inst, 10_000)
+    frags = kappa_restricted(inst, 10_000).fragments_sample
     value, minimizers, _ = brute_force(C, 2, window)
     with_identity = [X for X in minimizers if (0,) in X]
     assert len(frags) == len(with_identity)
     assert sorted(F.keys for F in frags) == sorted(with_identity)
-
-
-def test_stability_scan_certified(z1):
-    C = zset(z1, [0, 1, 2])
-    result = stability_scan(C, 2, (3, 4, 5))
-    assert result.kappa_hat == 2
-    assert result.certificate == CERTIFIED_EXACT
-
-
-def test_stability_scan_n1_certifies_first_radius(any_backend):
-    C = FiniteSubset.from_keys(any_backend, any_backend.ball_keys(1))
-    result = stability_scan(C, 1, (1, 2))
-    assert result.kappa_hat == len(C) - 1
-    assert result.certificate == CERTIFIED_EXACT
-    assert len(result.instance.window) == len(any_backend.ball_keys(1))
-
-
-def test_stability_scan_klein_triple(klein):
-    C = FiniteSubset.from_keys(klein, [(0, 0), (1, 0), (0, 1)])
-    value, _, _ = brute_force(C, 2, klein.ball(2))
-    result = stability_scan(C, 2, (2, 3, 4))
-    assert result.kappa_hat <= value
-    assert result.certificate in (HEURISTIC_STABLE, CERTIFIED_EXACT)
-    assert result.kappa_hat == 3
-
-
-def test_stability_scan_validation(z1):
-    C = zset(z1, [0, 1])
-    with pytest.raises(UsageError):
-        stability_scan(C, 1, ())
-    with pytest.raises(UsageError):
-        stability_scan(C, 1, (3, 3))
 
 
 def test_identity_only_window(z1):

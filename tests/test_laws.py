@@ -18,7 +18,6 @@ from sumsetlab.laws import (
     LAWS,
     THEOREM_LAWS,
     check_3k4,
-    check_atom_lemmas,
     check_c_lower,
     check_corollary_AB,
     check_equality_characterization,
@@ -248,10 +247,15 @@ def certified_result(backend, ckeys, n, radius):
     return C, kappa_restricted(IsoInstance(C, n, backend.ball(radius)), fragment_limit=0)
 
 
+def lemma_reports(C, n, result, k=None):
+    """Each atom lemma's report on each certified atom, through its LAWS entry."""
+    assert result.certificate == CERTIFIED_EXACT
+    return [LAWS[law].lemma(U, C, n, k) for U in result.atoms for law in ATOM_LAWS]
+
+
 def test_atom_lemmas_z_interval(z1):
     C, result = certified_result(z1, [(0,), (1,), (2,)], 2, 6)
-    assert result.certificate == CERTIFIED_EXACT
-    reports = check_atom_lemmas(C, 2, result)
+    reports = lemma_reports(C, 2, result)
     by_law = {}
     for r in reports:
         by_law.setdefault(r.law, []).append(r)
@@ -269,19 +273,19 @@ def test_atom_lemmas_skipped_without_certificate(z1):
     C = FiniteSubset.from_keys(z1, [(0,), (1,), (3,)])
     result = kappa_restricted(IsoInstance(C, 2, z1.ball(6)), fragment_limit=0)
     assert result.certificate != CERTIFIED_EXACT
-    reports = check_atom_lemmas(C, 2, result)
+    reports = [r for law in ATOM_LAWS for r in LAWS[law].run(C=C, n=2, window=z1.ball(6))]
     assert len(reports) == len(ATOM_LAWS)
     assert all(r.verdict == VERDICT_SKIPPED for r in reports)
 
 
 def test_atom_lemmas_explicit_k_gate(z1):
     C, result = certified_result(z1, [(0,), (1,), (2,)], 2, 6)
-    reports = check_atom_lemmas(C, 2, result, k=-1)
+    reports = lemma_reports(C, 2, result, k=-1)
     two_atom = [r for r in reports if r.law == "two_atom"]
-    assert all(r.verdict == VERDICT_HOLDS for r in two_atom)
-    reports_small_k = check_atom_lemmas(C, 2, result, k=-2)
+    assert two_atom and all(r.verdict == VERDICT_HOLDS for r in two_atom)
+    reports_small_k = lemma_reports(C, 2, result, k=-2)
     two_atom_small = [r for r in reports_small_k if r.law == "two_atom"]
-    assert all(r.verdict == VERDICT_HYPOTHESIS_NOT_MET for r in two_atom_small)
+    assert two_atom_small and all(r.verdict == VERDICT_HYPOTHESIS_NOT_MET for r in two_atom_small)
 
 
 def test_atom_nonunique_counting_path(z1):
@@ -297,8 +301,8 @@ def test_atom_nonunique_counting_path(z1):
 
 
 def test_atom_reports_are_pinned():
-    # the reports check_atom_lemmas and each atom law's run wrote while one
-    # function checked every lemma by comparing the law id: certified and
+    # the reports each lemma on each atom and each atom law's run wrote while
+    # one function checked every lemma by comparing the law id: certified and
     # uncertified instances, n = 1..3, explicit and derived k
     rows = []
     for spec, radius in (("zd:1", 5), ("zd:2", 2), ("klein", 2), ("heis", 1)):
@@ -311,7 +315,11 @@ def test_atom_reports_are_pinned():
             for n in (1, 2, 3):
                 result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
                 for k in (None, 0, 2):
-                    rows += [r.to_dict() for r in check_atom_lemmas(C, n, result, k)]
+                    if result.certificate == CERTIFIED_EXACT:
+                        reports = lemma_reports(C, n, result, k)
+                    else:
+                        reports = [r for law in ATOM_LAWS for r in LAWS[law].run(C=C, n=n, window=window)]
+                    rows += [r.to_dict() for r in reports]
                 for law in ATOM_LAWS:
                     rows += [r.to_dict() for r in LAWS[law].run(C=C, n=n, window=window)]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
@@ -341,9 +349,11 @@ def test_atom_law_runs_its_checker_once_per_atom(monkeypatch, ckeys, n, atoms):
         assert LAWS[law].run(C=C, n=n, window=window) == expected[law]
         assert {other: calls[other] - before[other] for other in ATOM_LAWS} == {
             other: atoms if other == law else 0 for other in ATOM_LAWS}
-    # check_atom_lemmas reads the same entries
+    # replay reads the same entries: one call per atom report
     before = dict(calls)
-    check_atom_lemmas(C, n, kappa_restricted(IsoInstance(C, n, window), fragment_limit=0))
+    for law in ATOM_LAWS:
+        for report in expected[law][:atoms]:
+            assert replay(report) == report
     assert all(calls[law] - before[law] == atoms for law in ATOM_LAWS)
     assert all(len(reports) == max(atoms, 1) for reports in expected.values())
 
@@ -360,8 +370,7 @@ def test_atom_lemmas_certified_corpus(any_backend):
     engaged = {law: 0 for law in ATOM_LAWS}
     for ckeys, n in corpus:
         C, result = certified_result(any_backend, ckeys, n, radius)
-        assert result.certificate == CERTIFIED_EXACT
-        for report in check_atom_lemmas(C, n, result):
+        for report in lemma_reports(C, n, result):
             assert report.verdict != VERDICT_VIOLATED, (report.law, report.witness)
             if report.law == "atom_conjecture":
                 assert report.verdict != VERDICT_FINDING
@@ -560,7 +569,7 @@ def collect_sample_reports():
         check_c_lower(4),
         check_equality_characterization(FiniteSubset.from_keys(z1b, [(i,) for i in range(5)]), (2, 3)),
     ]
-    reports.extend(check_atom_lemmas(C, 2, result))
+    reports.extend(lemma_reports(C, 2, result))
     return reports
 
 

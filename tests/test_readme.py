@@ -1,7 +1,15 @@
-"""README's code runs: its "Library sketch" block, with the values its comments state."""
+"""README's code runs and the names it cites exist.
 
+The "Library sketch" block runs with the values its comments state; the
+"Key operations" paragraph and the certificate list name live code.
+"""
+
+import importlib
 import pathlib
+import pkgutil
 import re
+
+import sumsetlab
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +37,41 @@ def test_library_sketch_runs_and_states_its_values():
             seen[name] = eval(expression, namespace)
             assert str(SKETCH_VALUES[name]) in comment, line
     assert seen == SKETCH_VALUES
+
+
+def _block_after(text: str, start: str) -> str:
+    """The blank-line-separated block of README text that begins with start."""
+    return next(block for block in text.split("\n\n") if block.startswith(start))
+
+
+def _resolves(name: str) -> bool:
+    """name is an attribute of sumsetlab or one of its modules, or of a backend for backend.*.
+
+    A lower-case label also resolves when a module defines it as the value
+    of the upper-case constant of the same name, as each certificate is.
+    """
+    if name.startswith("backend."):
+        return hasattr(sumsetlab.backend_from_spec("zd:1"), name.split(".", 1)[1])
+    modules = [sumsetlab]
+    modules += [importlib.import_module(f"sumsetlab.{m.name}") for m in pkgutil.iter_modules(sumsetlab.__path__)]
+    head, _, attr = name.partition(".")
+    for module in modules:
+        if hasattr(module, head) and (not attr or hasattr(getattr(module, head), attr)):
+            return True
+        if not attr and getattr(module, head.upper(), None) == head:
+            return True
+    return False
+
+
+def test_key_operations_and_certificates_name_live_code():
+    text = README.read_text(encoding="utf-8")
+    blocks = {
+        "key operations": _block_after(text, "Key operations:"),
+        "certificates": _block_after(text, "* `certified_exact`"),
+    }
+    for where, block in blocks.items():
+        spans = (" ".join(s.split()) for s in re.findall(r"`([^`]+)`", block))
+        # identifiers, with a call's arguments dropped: not `verify --law 3k4` or `|C| - 1`
+        names = [m.group(1) for s in spans if (m := re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", s))]
+        assert len(names) >= 2, where
+        assert [n for n in names if not _resolves(n)] == [], where

@@ -1,4 +1,4 @@
-"""Set combinatorics: products, boundaries, progressions, covers, dimension."""
+"""Set combinatorics: products, progressions, covers, dimension."""
 
 import itertools
 import random
@@ -13,9 +13,6 @@ from sumsetlab.setops import (
     PRODUCT_TABLE_CAP,
     FiniteSubset,
     ProductTable,
-    boundary_set,
-    coset_classes,
-    cover_by_two_progressions,
     cyclic_hull_contains,
     deficiency,
     detect_progression,
@@ -68,22 +65,6 @@ def bounded_hull_oracle(A, search_radius=3, power_bound=8):
         if all(d in powers for d in diffs):
             return True
     return False
-
-
-def brute_coset_partition(B, g):
-    """Pairwise-relation partition of B by x ~ y iff x y^-1 in <g>."""
-    backend = B.backend
-    keys = list(B.keys)
-    parts = []
-    for x in keys:
-        for part in parts:
-            y = part[0]
-            if backend.in_cyclic_key(backend.mul_key(x, backend.inv_key(y)), g.key) is not None:
-                part.append(x)
-                break
-        else:
-            parts.append([x])
-    return {frozenset(p) for p in parts}
 
 
 # -- product sets and deficiency ----------------------------------------------
@@ -208,52 +189,6 @@ def test_kempermann_small_fuzz(any_backend):
         assert deficiency(A, B) >= -1
 
 
-# -- boundary sets and coset classes --------------------------------------------
-
-
-def test_boundary_identity_is_empty(any_backend):
-    B = FiniteSubset.from_keys(any_backend, any_backend.ball_keys(2))
-    assert len(boundary_set(B, any_backend.identity)) == 0
-
-
-def test_boundary_interval(z1):
-    B = zset(z1, [0, 1, 2, 3])
-    out = boundary_set(B, z1.parse("(1)"))
-    assert [k[0] for k in out.keys] == [3]
-
-
-def test_boundary_klein_grid(klein):
-    B = FiniteSubset.from_keys(klein, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    u = klein.generators[0]
-    expected = {x for x in B.keys if klein.mul_key(u.key, x) not in set(B.keys)}
-    got = boundary_set(B, u)
-    assert set(got.keys) == expected == {(1, 0), (1, 1)}
-
-
-def test_coset_classes_grid_rows(z2):
-    B = FiniteSubset.from_keys(z2, ((i, j) for i in range(3) for j in range(3)))
-    classes = coset_classes(B, z2.parse("(1,0)"))
-    assert len(classes) == 3
-    assert sorted(len(c) for c in classes) == [3, 3, 3]
-
-
-def test_coset_classes_whole_line(z1):
-    B = zset(z1, [-3, 0, 2, 7])
-    assert len(coset_classes(B, z1.parse("(1)"))) == 1
-
-
-def test_coset_classes_matches_pairwise_oracle(klein):
-    B = FiniteSubset.from_keys(klein, ((i, j) for i in range(3) for j in range(3)))
-    u = klein.generators[0]
-    got = {frozenset(c.keys) for c in coset_classes(B, u)}
-    assert got == brute_coset_partition(B, u)
-
-
-def test_coset_classes_identity_rejected(z1):
-    with pytest.raises(DomainError):
-        coset_classes(zset(z1, [0, 1]), z1.identity)
-
-
 # -- progression detection --------------------------------------------------------
 
 
@@ -315,7 +250,7 @@ def test_detect_round_trip_random(any_backend):
         desc = detect_progression(A)
         assert desc is not None
         assert desc.expand() == A
-        assert desc.commutes()
+        assert desc.base * desc.ratio == desc.ratio * desc.base
 
 
 def test_progression_ratios_pair(klein):
@@ -410,61 +345,6 @@ def test_detect_progression_matches_bounded_oracle(any_backend):
                     keys.append(cur)
                     cur = backend.mul_key(cur, ratio)
                 assert set(keys) != target, (A.keys, base, ratio)
-
-
-def test_cover_by_two_progressions_paper_family(klein):
-    from sumsetlab.laws import klein_union_set
-
-    A = klein_union_set(3)
-    assert len(A) == 10
-    got = cover_by_two_progressions(A, budget=10)
-    assert got is not None
-    d1, d2 = got
-    union = d1.expand() if d2 is None else d1.expand().union(d2.expand())
-    assert A.is_subset(union)
-    total = d1.length + (d2.length if d2 is not None else 0)
-    assert total <= 10
-
-
-def test_cover_by_two_progressions_single_ap(z1):
-    A = zset(z1, [1, 4, 7, 10])
-    got = cover_by_two_progressions(A, budget=4)
-    assert got is not None
-    d1, d2 = got
-    assert d2 is None
-    assert d1.length == 4
-    assert A.is_subset(d1.expand())
-
-
-def test_cover_by_two_progressions_size_cap(z1):
-    from sumsetlab.errors import ResourceLimitError
-
-    ap = zset(z1, range(17))
-    got = cover_by_two_progressions(ap, budget=40)
-    assert got is not None and got[1] is None  # single cover bypasses the cap
-    scattered = zset(z1, list(range(16)) + [100])
-    with pytest.raises(ResourceLimitError):
-        cover_by_two_progressions(scattered, budget=20)
-
-
-def test_cover_by_two_progressions_klein_five_none(klein):
-    A = FiniteSubset.from_keys(klein, [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1)])
-    assert cover_by_two_progressions(A, budget=5) is None
-    # oracle: every valid descriptor with base, ratio in ball(2) covers at
-    # most one of the pairwise non-commuting elements v, uv, vu
-    special = [(0, 1), (1, 1), (1, -1)]
-    for base in klein.ball_keys(2):
-        for ratio in klein.ball_keys(2):
-            if ratio == klein.identity_key:
-                continue
-            if klein.mul_key(base, ratio) != klein.mul_key(ratio, base):
-                continue
-            keys = set()
-            cur = base
-            for _ in range(5):
-                keys.add(cur)
-                cur = klein.mul_key(cur, ratio)
-            assert sum(1 for s in special if s in keys) <= 1
 
 
 # -- dimension -----------------------------------------------------------------------
