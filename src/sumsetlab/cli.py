@@ -2,9 +2,7 @@
 
 Exit codes: 0 for clean runs (conjecture findings included), 1 when a
 theorem-status law is violated, 2 for usage, parse, resource and file
-errors. These flags take a default from an environment variable with the
-SUMSETLAB_ prefix: --group, --format, --out, --n, --k, --d, --m, --radius,
---seed, --jobs and --config (SUMSETLAB_GROUP, SUMSETLAB_FORMAT, ...).
+errors.
 """
 
 from __future__ import annotations
@@ -34,24 +32,10 @@ from .laws import (
 from .reports import VERDICT_VIOLATED, subset_payload
 from .setops import FiniteSubset, product_set
 
-ENV_PREFIX = "SUMSETLAB_"
-
-
-def _env_default(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-
 
 def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:
-    def format_name(value: str) -> str:
-        # argparse checks choices only on the command line, but it passes a
-        # string default, such as SUMSETLAB_FORMAT, through type
-        if value not in formats:
-            raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {', '.join(formats)})")
-        return value
-
-    parser.add_argument("--format", type=format_name, metavar="{" + ",".join(formats) + "}",
-                        default=_env_default("format") or "text")
-    parser.add_argument("--out", default=_env_default("out"))
+    parser.add_argument("--format", choices=formats, default="text")
+    parser.add_argument("--out")
 
 
 def _emit(args, lines_text, objects) -> None:
@@ -225,35 +209,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    group_kw = dict(default=_env_default("group"), help="group spec: zd:<d>, free:<k>, klein, heis")
+    group_kw = dict(required=True, help="group spec: zd:<d>, free:<k>, klein, heis")
 
     p = sub.add_parser("sumset", help="product set of two set files")
     p.add_argument("a_file")
     p.add_argument("b_file")
-    p.add_argument("--group", required=_env_default("group") is None, **group_kw)
+    p.add_argument("--group", **group_kw)
     _add_common(p)
     p.set_defaults(func=_cmd_sumset)
 
     p = sub.add_parser("kappa", help="restricted isoperimetric minimum of a set file")
     p.add_argument("c_file")
-    p.add_argument("--group", required=_env_default("group") is None, **group_kw)
-    p.add_argument("--n", type=int, default=_env_default("n") or 1)
-    p.add_argument("--radius", type=int, default=_env_default("radius") or 4)
+    p.add_argument("--group", **group_kw)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--radius", type=int, default=4)
     _add_common(p)
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("verify", help="run one law check")
     p.add_argument("--law", required=True, help="law id, e.g. kempermann")
-    p.add_argument("--group", required=_env_default("group") is None, **group_kw)
+    p.add_argument("--group", **group_kw)
     p.add_argument("--a-file")
     p.add_argument("--b-file")
     p.add_argument("--c-file")
     p.add_argument("--window-file")
-    p.add_argument("--n", type=int, default=_env_default("n") or 2)
-    p.add_argument("--k", type=int, default=_env_default("k") or 1)
-    p.add_argument("--d", type=int, default=_env_default("d") or 3)
-    p.add_argument("--m", type=int, default=_env_default("m") or 1)
-    p.add_argument("--radius", type=int, default=_env_default("radius") or 3)
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--radius", type=int, default=3)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--general-bound", action="store_true")
     _add_common(p)
@@ -261,16 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="construct a named example family")
     p.add_argument("--name", required=True, choices=tuple(EXAMPLES))
-    p.add_argument("--m", type=int, default=_env_default("m") or 1)
-    p.add_argument("--k", type=int, default=_env_default("k") or 1)
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--k", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("explore", help="run a seeded campaign from a config file")
-    config = _env_default("config")
-    p.add_argument("--config", required=config is None, default=config)
-    p.add_argument("--seed", type=int, default=_env_default("seed"))
-    p.add_argument("--jobs", type=int, default=_env_default("jobs"))
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--jobs", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_explore)
 

@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParseError, ResourceLimitError, UsageError
+from .errors import ParseError, ResourceLimitError, UsageError
 from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, _digit_limit, backend_from_spec
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4
 from .reports import LawReport, VERDICT_FINDING, VERDICT_SKIPPED, VERDICT_VIOLATED, VERDICTS
@@ -34,7 +34,6 @@ from .setops import FiniteSubset, ProductTable
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
 
-EXTREMAL_PAIR_CAP = 200_000
 ATOM_HUNT_SUBSET_CAP = 1 << 12
 HUNT_3K4_SET_CAP = 1 << 17
 
@@ -104,12 +103,12 @@ class Campaign:
         if version != SCHEMA_VERSION:
             raise UsageError(f"unsupported campaign schema_version {version}")
         fields = dataclasses.fields(cls)
-        names = {f.name for f in fields} | {"schema_version", "backend"}
+        names = {f.name for f in fields} | {"schema_version"}
         unknown = [key for key in data if key not in names]
         if unknown:
             raise UsageError(f"unknown campaign config keys: {unknown}")
         kwargs = {f.name: data[f.name] for f in fields if f.default is not dataclasses.MISSING and f.name in data}
-        return cls(backends=data.get("backends") or data.get("backend"), laws=data.get("laws"), **kwargs)
+        return cls(backends=data.get("backends"), laws=data.get("laws"), **kwargs)
 
 
 def _names(value, what: str) -> tuple:
@@ -399,29 +398,6 @@ def summarize(records: list[dict]) -> list[dict]:
             row["min_slack"] = slack if row["min_slack"] is None else min(row["min_slack"], slack)
             row["max_slack"] = slack if row["max_slack"] is None else max(row["max_slack"], slack)
     return [by_law[law] for law in sorted(by_law)]
-
-
-def extremal_pairs(window: FiniteSubset, size_a: int, size_b: int):
-    """All pairs (A, B) inside the window minimizing the deficiency."""
-    if size_a < 1 or size_b < 1:
-        raise DomainError(f"set sizes ({size_a}, {size_b}) must be at least 1")
-    grid = math.comb(len(window), size_a) * math.comb(len(window), size_b)
-    if grid > EXTREMAL_PAIR_CAP:
-        raise ResourceLimitError(f"{grid} pairs exceed the enumeration cap {EXTREMAL_PAIR_CAP}")
-    table = ProductTable(window, window)
-    best = None
-    out: list[tuple[tuple, tuple, int]] = []
-    for ia in itertools.combinations(range(len(window)), size_a):
-        # a B whose deficiency exceeds the best so far is never yielded
-        bound = math.inf if best is None else best + size_a
-        for ib, size_ab in table.small_products(ia, size_b, size_b, bound):
-            dfc = size_ab - size_a - size_b
-            if best is None or dfc < best:
-                best = dfc
-                out = [(ia, ib, dfc)]
-            elif dfc == best:
-                out.append((ia, ib, dfc))
-    return [(table.subset(ia), table.subset(ib), dfc) for ia, ib, dfc in out]
 
 
 # -- conjecture hunts --------------------------------------------------------

@@ -413,9 +413,13 @@ def check_uvk(B: FiniteSubset, d: int) -> LawReport:
 def check_main_theorem(A: FiniteSubset, B: FiniteSubset, k: int, use_general_bound: bool = False) -> LawReport:
     """|AB| > |A| + |B| + k once |B| clears the backend's size gate.
 
-    Unique-product backends use the cubic gate 4(2k+3)^3. The general gate
-    32(k+3)^6 exceeds desk scale for every k >= 1, so instances below it
-    are reported as skipped-by-scale hypothesis failures.
+    Unique-product backends use the cubic gate 4(2k+3)^3; the general gate
+    32(k+3)^6 applies otherwise or with use_general_bound. Campaign draws
+    never reach the general gate: every backend has the unique product
+    property and no campaign grid sets use_general_bound. At k = 1 the gate
+    is 131,072, below BALL_ELEMENT_CAP, so `verify --general-bound` on a
+    large enough B clears it. Instances below it are reported as
+    skipped-by-scale hypothesis failures.
     """
     if k < 1:
         raise UsageError("the theorem is stated for k >= 1")

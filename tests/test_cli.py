@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sumsetlab.cli import build_parser, main
+from sumsetlab.cli import main
 from sumsetlab.groups import backend_from_spec
 from sumsetlab.laws import LAW_IDS, klein_grid_sets
 from sumsetlab.setops import FiniteSubset
@@ -218,13 +218,30 @@ def test_out_flag_writes_file(tmp_path, z_files, capsys):
     assert json.loads(target.read_text())["size"] == 5
 
 
-def test_env_defaults_format(monkeypatch, z_files, capsys):
-    monkeypatch.setenv("SUMSETLAB_GROUP", "zd:1")
-    # parser defaults are read at construction time, so rebuild through main
+def test_ambient_environment_changes_nothing(monkeypatch, tmp_path, z_files, capsys):
+    # every setting comes from its flag or its config key, so a variable named
+    # like a flag must not change a campaign hash, a verdict or where output goes
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 4}))
+    # json output carries no wall clock, so two clean runs print the same
+    explore = ["explore", "--config", str(config), "--format", "json"]
+    clean = run_cli(capsys, *explore)
+    assert clean[0] == 0 and json.loads(clean[1])["records"] == 2
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"backends": ["klein"], "laws": ["hls"], "budget": 1, "seed": 9}))
+    ambient = {"GROUP": "klein", "FORMAT": "json", "OUT": str(tmp_path / "out.txt"), "N": "1", "K": "5",
+               "D": "1", "M": "9", "RADIUS": "0", "SEED": "7", "JOBS": "2", "CONFIG": str(other)}
+    for name, value in ambient.items():
+        monkeypatch.setenv(f"SUMSETLAB_{name}", value)
+    assert run_cli(capsys, *explore) == clean
     a, b = z_files
-    code, out, _ = run_cli(capsys, "sumset", a, b)
+    code, out, _ = run_cli(capsys, "verify", "--law", "two_atom", "--group", "zd:1", "--c-file", a)
     assert code == 0
-    assert "|AB| = 5" in out
+    assert out.startswith("two_atom: holds slack=0")
+    with pytest.raises(SystemExit) as exc:
+        main(["sumset", a, b])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.txt").exists()
 
 
 # -- every registered law through verify -------------------------------------
@@ -421,18 +438,6 @@ def test_explore_config_non_int_field_exits_2(field, text, tmp_path, capsys):
     assert not store.exists()
 
 
-@pytest.mark.parametrize("name", ["N", "RADIUS", "K", "D", "M"])
-def test_bad_env_default_int_fails_only_its_subcommand(name, monkeypatch, z_files, capsys):
-    monkeypatch.setenv(f"SUMSETLAB_{name}", "x")
-    build_parser()
-    a, b = z_files
-    code, out, _ = run_cli(capsys, "sumset", a, b, "--group", "zd:1")
-    assert code == 0 and "|AB| = 5" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--law", "kempermann", "--group", "zd:1", "--a-file", a, "--b-file", b])
-    assert exc.value.code == 2
-
-
 def test_report_counts_a_campaign_run_twice_into_one_store_once(tmp_path, capsys):
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 3, "seed": 4}))
@@ -444,16 +449,6 @@ def test_report_counts_a_campaign_run_twice_into_one_store_once(tmp_path, capsys
     code, out, _ = run_cli(capsys, "report", "--run", str(store), "--format", "json")
     assert code == 0
     assert json.loads(out)["holds"] == 3
-
-
-def test_explore_config_from_the_environment(tmp_path, monkeypatch, capsys):
-    config = tmp_path / "campaign.json"
-    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 1}))
-    monkeypatch.setenv("SUMSETLAB_CONFIG", str(config))
-    store = tmp_path / "st.jsonl"
-    code, _, err = run_cli(capsys, "explore", "--out", str(store))
-    assert code == 0, err
-    assert len(store.read_text().splitlines()) == 2
 
 
 def test_report_another_schema_version_is_a_parse_error(tmp_path, capsys):
@@ -477,30 +472,19 @@ def test_report_another_schema_version_is_a_parse_error(tmp_path, capsys):
     ["example", "--name", "c-lower"],
     ["explore", "--config", "campaign.json"],
 ])
-@pytest.mark.parametrize("from_env", [False, True])
-def test_csv_format_is_a_usage_error_outside_report(argv, from_env, monkeypatch):
+def test_csv_format_is_a_usage_error_outside_report(argv):
     # only report prints a table; the other commands would print text under csv
-    if from_env:
-        monkeypatch.setenv("SUMSETLAB_FORMAT", "csv")
-    else:
-        argv = argv + ["--format", "csv"]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(argv + ["--format", "csv"])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("from_env", [False, True])
-def test_report_csv_format_prints_the_table(tmp_path, monkeypatch, capsys, from_env):
+def test_report_csv_format_prints_the_table(tmp_path, capsys):
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 3, "seed": 4}))
     store = tmp_path / "st.jsonl"
     assert run_cli(capsys, "explore", "--config", str(config), "--out", str(store))[0] == 0
-    argv = ["report", "--run", str(store)]
-    if from_env:
-        monkeypatch.setenv("SUMSETLAB_FORMAT", "csv")
-    else:
-        argv += ["--format", "csv"]
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, "report", "--run", str(store), "--format", "csv")
     assert code == 0
     assert out == run_cli(capsys, "report", "--run", str(store), "--format", "text")[1]
     assert out.splitlines()[0].startswith("law,holds,violated")

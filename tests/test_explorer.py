@@ -1,4 +1,4 @@
-"""Campaign execution, record persistence, hunts and extremal scans."""
+"""Campaign execution, record persistence and hunts."""
 
 import dataclasses
 import hashlib
@@ -7,13 +7,11 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UsageError
+from sumsetlab.errors import ParseError, ResourceLimitError, UsageError
 from sumsetlab.explorer import (
     SCHEMA_VERSION,
     Campaign,
-    extremal_pairs,
     hunt,
     load_config,
     read_records,
@@ -25,7 +23,7 @@ from sumsetlab.explorer import (
     _run_law_instance,
 )
 from sumsetlab.groups import backend_from_spec
-from sumsetlab.setops import FiniteSubset, detect_progression, product_size
+from sumsetlab.setops import FiniteSubset, product_size
 
 BACKEND_SPECS = ("zd:1", "zd:2", "free:2", "klein", "heis")
 
@@ -177,10 +175,11 @@ def test_campaign_rejects_a_repeated_backend_or_law(names, problem):
 @pytest.mark.parametrize("extra, unknown", [
     ({"budjet": 2}, "['budjet']"),
     ({"Seed": 1, "hunts": [], "budget": 2}, "['Seed', 'hunts']"),
+    ({"backend": "klein"}, "['backend']"),
 ])
 def test_campaign_from_dict_names_unknown_keys(extra, unknown):
     # an unknown key would otherwise leave its field at the default unnoticed
-    data = {"schema_version": 1, "backend": "zd:1", "laws": ["kempermann"], **extra}
+    data = {"schema_version": 1, "backends": ["zd:1"], "laws": ["kempermann"], **extra}
     with pytest.raises(UsageError, match=f"^unknown campaign config keys: {re.escape(unknown)}$"):
         Campaign.from_dict(data)
 
@@ -427,75 +426,6 @@ def test_product_law_records_are_pinned():
     digest = hashlib.sha256(stream.encode("utf-8")).hexdigest()
     assert len(records) == 240
     assert digest == "da8c435980abb5f3215c7b2290b698ef35b5505a48f34df1fdafbf9e25e6afa3"
-
-
-# -- extremal pairs -------------------------------------------------------------
-
-
-def brute_extremal(window, sa, sb):
-    mul = window.backend.mul_key
-    best = None
-    pairs = []
-    for ka in itertools.combinations(window.keys, sa):
-        for kb in itertools.combinations(window.keys, sb):
-            dfc = len({mul(a, b) for a in ka for b in kb}) - sa - sb
-            if best is None or dfc < best:
-                best, pairs = dfc, [(ka, kb)]
-            elif dfc == best:
-                pairs.append((ka, kb))
-    return best, pairs
-
-
-def test_extremal_pairs_z_window(z1):
-    window = FiniteSubset.from_keys(z1, [(i,) for i in range(6)])
-    out = extremal_pairs(window, 3, 3)
-    best, pairs = brute_extremal(window, 3, 3)
-    assert best == -1
-    assert len(out) == len(pairs) == 20
-    for A, B, dfc in out:
-        assert dfc == -1
-        da, db = detect_progression(A), detect_progression(B)
-        assert da is not None and db is not None
-        assert da.ratio.key in (db.ratio.key, db.ratio.inverse().key)
-
-
-def test_extremal_pairs_singleton(z1):
-    window = FiniteSubset.from_keys(z1, [(i,) for i in range(4)])
-    out = extremal_pairs(window, 1, 3)
-    assert all(dfc == -1 for _, _, dfc in out)
-
-
-def test_extremal_pairs_cap(z1):
-    window = FiniteSubset.from_keys(z1, [(i,) for i in range(30)])
-    with pytest.raises(ResourceLimitError):
-        extremal_pairs(window, 9, 9)
-
-
-@pytest.mark.parametrize("sizes", [(0, 3), (3, 0), (-1, 2), (2, -1)])
-def test_extremal_pairs_rejects_sizes_below_one(z1, sizes):
-    window = FiniteSubset.from_keys(z1, [(i,) for i in range(6)])
-    with pytest.raises(DomainError):
-        extremal_pairs(window, *sizes)
-
-
-@st.composite
-def extremal_instances(draw):
-    backend = backend_from_spec(draw(st.sampled_from(BACKEND_SPECS)))
-    keys = draw(st.lists(st.sampled_from(backend.ball_keys(2)), min_size=1, max_size=7, unique=True))
-    window = FiniteSubset.from_keys(backend, keys)
-    size_a = draw(st.integers(1, min(3, len(window))))
-    size_b = draw(st.integers(1, min(3, len(window))))
-    return window, size_a, size_b
-
-
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(extremal_instances())
-def test_extremal_pairs_match_brute_force(instance):
-    window, size_a, size_b = instance
-    out = extremal_pairs(window, size_a, size_b)
-    best, pairs = brute_extremal(window, size_a, size_b)
-    assert [(A.keys, B.keys) for A, B, _ in out] == pairs
-    assert all(dfc == best >= -1 for _, _, dfc in out)
 
 
 # -- hunts ---------------------------------------------------------------------
