@@ -339,7 +339,7 @@ def read_records(path) -> list[dict]:
                     continue
                 record = _json_loads(line, f"record store {path}", lineno)
                 version = record.get("schema_version") if isinstance(record, dict) else None
-                if version != SCHEMA_VERSION:
+                if not _is_int(version) or version != SCHEMA_VERSION:
                     raise ParseError(
                         f"record store {path}: schema_version {version!r} is not {SCHEMA_VERSION}", lineno
                     )
@@ -362,13 +362,14 @@ def _record_problem(record: dict) -> str | None:
         value = record.get(name)
         if value is None:
             return f"record has no {name!r}"
-        if not isinstance(value, kind):
+        # a bool is no int here: summarize's key would take true for 1
+        if not (_is_int(value) if kind is int else isinstance(value, kind)):
             return f"record {name!r} {value!r} has type {type(value).__name__}, not {kind.__name__}"
     report = record["report"]
     if report.get("verdict") not in VERDICTS:
         return f"report verdict {report.get('verdict')!r} is not one of {', '.join(VERDICTS)}"
     slack = report.get("slack")
-    if slack is not None and not isinstance(slack, (int, float)):
+    if slack is not None and not (_is_int(slack) or isinstance(slack, float) and math.isfinite(slack)):
         return f"report slack {slack!r} is not a number"
     return None
 

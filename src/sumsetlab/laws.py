@@ -398,8 +398,6 @@ def check_uvk(B: FiniteSubset, d: int) -> LawReport:
     witness = {"B": subset_payload(B), "d": d, "A": subset_payload(A)}
     if d < 3:
         return _hyp("uvk", witness, f"d = {d} < 3")
-    if cyclic_hull_contains(A) is not None:
-        raise UsageError("generator triple unexpectedly lies in a cyclic coset")
     threshold = 4 * d ** 3
     if len(B) <= threshold:
         return _hyp("uvk", witness, f"|B| = {len(B)} <= 4 d^3 = {threshold}")

@@ -597,6 +597,13 @@ def test_read_records_integer_past_the_digit_limit_is_a_parse_error(tmp_path, to
     (lambda r: dict(r, report=dict(r["report"], verdict="bogus")), "report verdict 'bogus' is not one of"),
     (lambda r: dict(r, report={"law": "kempermann"}), "report verdict None is not one of"),
     (lambda r: dict(r, report=dict(r["report"], slack="x")), "report slack 'x' is not a number"),
+    (lambda r: dict(r, index=True), "record 'index' True has type bool, not int"),
+    (lambda r: dict(r, sub=False), "record 'sub' False has type bool, not int"),
+    (lambda r: dict(r, schema_version=True), "schema_version True is not 1"),
+    (lambda r: dict(r, report=dict(r["report"], slack=False)), "report slack False is not a number"),
+    (lambda r: dict(r, report=dict(r["report"], slack=float("nan"))), "report slack nan is not a number"),
+    (lambda r: dict(r, report=dict(r["report"], slack=float("inf"))), "report slack inf is not a number"),
+    (lambda r: dict(r, report=dict(r["report"], slack=float("-inf"))), "report slack -inf is not a number"),
 ])
 def test_read_records_rejects_a_malformed_record(tmp_path, change, problem):
     run = run_campaign(small_campaign())

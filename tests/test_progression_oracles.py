@@ -1,4 +1,4 @@
-"""Exact-progression ratio scans and the equality checker pinned to naive oracles."""
+"""Exact-progression ratio scans, cover lengths and the equality checker pinned to naive oracles."""
 
 import itertools
 
@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sumsetlab import laws
-from sumsetlab.groups import backend_from_spec
+from sumsetlab.groups import backend_from_spec, divisors
 from sumsetlab.laws import _translate_ratios, check_equality_characterization
 from sumsetlab.reports import subset_payload
 from sumsetlab.setops import (
     FiniteSubset,
-    _progression_through,
+    ProgressionDescriptor,
     detect_progression,
+    min_progression_cover,
     progression_ratios,
 )
 
@@ -26,6 +27,32 @@ BALLS = {spec: backend.ball_keys(2) for spec, backend in BACKENDS.items()}
 # -- oracles -----------------------------------------------------------------
 
 
+def progression_through(A, r_key):
+    """Shortest r-progression covering A, or None.
+
+    None is returned when some element of A has no exponent in <r>
+    relative to the first element, or when the resulting base fails to
+    commute with the ratio.
+    """
+    backend = A.backend
+    if r_key == backend.identity_key:
+        return None
+    mul, inv, member = backend.mul_key, backend.inv_key, backend.in_cyclic_key
+    a0 = A.keys[0]
+    a0_inv = inv(a0)
+    exps = []
+    for a in A.keys:
+        k = member(mul(a0_inv, a), r_key)
+        if k is None:
+            return None
+        exps.append(k)
+    lo, hi = min(exps), max(exps)
+    base_key = mul(a0, backend.pow_key(r_key, lo))
+    if mul(base_key, r_key) != mul(r_key, base_key):
+        return None
+    return ProgressionDescriptor(backend.element(base_key), backend.element(r_key), hi - lo + 1)
+
+
 def oracle_exact_hits(A):
     """Descriptors expanding to A, over every ratio x^-1 y in permutation order."""
     backend = A.backend
@@ -35,7 +62,7 @@ def oracle_exact_hits(A):
         if r in seen:
             continue
         seen.add(r)
-        desc = _progression_through(A, r)
+        desc = progression_through(A, r)
         if desc is not None and desc.length == len(A):
             yield desc
 
@@ -52,6 +79,24 @@ def oracle_ratios(A):
     if len(A) < 2:
         return ()
     return tuple(sorted({desc.ratio.key for desc in oracle_exact_hits(A)}))
+
+
+def oracle_min_cover(A):
+    """Shortest cover over every divisor power of the root of every pair quotient x^-1 y.
+
+    A cover's ratio r has r^m = x^-1 y for each pair of covered elements,
+    so r is such a divisor power wherever roots lie in the quotient's
+    maximal cyclic subgroup.
+    """
+    backend = A.backend
+    lengths = []
+    for x, y in itertools.permutations(A.keys, 2):
+        root, exponent = backend.primitive_root_key(backend.mul_key(backend.inv_key(x), y))
+        for j in divisors(exponent):
+            desc = progression_through(A, backend.pow_key(root, j))
+            if desc is not None:
+                lengths.append(desc.length)
+    return min(lengths, default=None)
 
 
 def oracle_common_ratio_pair(A, B):
@@ -132,6 +177,12 @@ def test_detect_progression_matches_permutation_scan(A):
 @given(small_sets())
 def test_progression_ratios_match_permutation_scan(A):
     assert tuple(r.key for r in progression_ratios(A)) == oracle_ratios(A)
+
+
+@ORACLE_SETTINGS
+@given(small_sets(min_size=2))
+def test_min_cover_matches_pair_quotient_scan(A):
+    assert min_progression_cover(A) == oracle_min_cover(A)
 
 
 @ORACLE_SETTINGS

@@ -181,6 +181,16 @@ def test_deficiency_translation_invariance(any_backend):
         assert deficiency(A.translate_left(x), B.translate_right(y)) == deficiency(A, B)
 
 
+@pytest.mark.parametrize("spec, foreign", [("zd:2", "zd:3"), ("klein", "zd:2")])
+def test_translate_by_a_foreign_element_is_usage_error(spec, foreign):
+    A = FiniteSubset.from_keys(backend_from_spec(spec), [(0, 2), (1, 2)])
+    g = backend_from_spec(foreign).generators[0]
+    with pytest.raises(UsageError, match="element does not belong to the set's backend"):
+        A.translate_left(g)
+    with pytest.raises(UsageError, match="element does not belong to the set's backend"):
+        A.translate_right(g)
+
+
 def test_kempermann_small_fuzz(any_backend):
     rng = random.Random(31)
     for _ in range(300):
@@ -306,8 +316,8 @@ def bounded_cover_oracle(A, base_radius, ratio_radius, max_length):
 
 
 def test_min_cover_not_beaten_by_bounded_oracle(any_backend):
-    # completeness of the divisor-power candidate family: no progression
-    # with base and ratio in small balls covers A more tightly
+    # completeness of the cyclic-root covers: no progression with base
+    # and ratio in small balls covers A more tightly
     rng = random.Random(79)
     ball = any_backend.ball_keys(2)
     for _ in range(15):
