@@ -427,7 +427,7 @@ def _universe_keys(backend: GroupBackend, grid: dict) -> list[tuple]:
         if not isinstance(backend, LatticeBackend) or backend.dim != 1:
             raise UsageError("span universes are defined for zd:1")
         return [(i,) for i in range(span + 1)]
-    return list(backend.ball_keys(_int_field(grid, "radius", 3, "hunt grid")))
+    return list(backend.ball_keys(_hunt_field(grid, "radius", 3, 0)))
 
 
 def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
@@ -435,7 +435,7 @@ def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
     backend = backend_from_spec(grid.get("backend", "zd:1"))
     universe = _universe_keys(backend, grid)
     n_max = _hunt_field(grid, "n_max", 3, 1)
-    window = backend.ball(_int_field(grid, "x_radius", 4, "hunt grid"))
+    window = backend.ball(_hunt_field(grid, "x_radius", 4, 0))
     id_key = backend.identity_key
     others = [k for k in universe if k != id_key]
     if 1 << len(others) > ATOM_HUNT_SUBSET_CAP:

@@ -29,31 +29,12 @@ from .errors import DomainError, ParseError, ResourceLimitError, UsageError
 DEFAULT_BALL_CAP = 12
 BALL_ELEMENT_CAP = 1 << 20
 LATTICE_DIM_CAP = 64
-# trial division up to sqrt(2^40), about 10^6 steps
-DIVISOR_CAP = 1 << 40
+# letters of a parsed free word; a^(10^9) would ask for a billion-letter tuple
+WORD_LENGTH_CAP = 1 << 20
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WORD_TOKEN = re.compile(r"\S+")
-_FACTOR = re.compile(r"([a-z])(?:\^(-?\d+))?\Z")
-
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in increasing order; n must be nonzero and |n| <= DIVISOR_CAP."""
-    n = abs(n)
-    if n == 0:
-        raise DomainError("divisors of 0 are not defined")
-    if n > DIVISOR_CAP:
-        raise ResourceLimitError(f"a {n.bit_length()}-bit integer exceeds the divisor cap {DIVISOR_CAP}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+_FACTOR = re.compile(r"([a-z])(?:\^(-?[0-9]+))?\Z")
 
 
 class GroupElement:
@@ -133,16 +114,7 @@ class GroupBackend:
         raise NotImplementedError
 
     def pow_key(self, a: tuple, n: int) -> tuple:
-        # square-and-multiply; subclasses override where a closed form exists
-        if n < 0:
-            a, n = self.inv_key(a), -n
-        acc = self.identity_key
-        while n:
-            if n & 1:
-                acc = self.mul_key(acc, a)
-            a = self.mul_key(a, a)
-            n >>= 1
-        return acc
+        raise NotImplementedError
 
     def generator_keys(self) -> list[tuple]:
         raise NotImplementedError
@@ -180,7 +152,7 @@ class GroupBackend:
         values = []
         for part in parts:
             part = part.strip()
-            if not re.fullmatch(r"-?\d+", part):
+            if not re.fullmatch(r"-?[0-9]+", part):
                 raise ParseError(f"bad integer coordinate {part!r}", line=line, column=1)
             values.append(_parse_int(part, line=line, column=1))
         return tuple(values)
@@ -295,7 +267,8 @@ class GroupBackend:
         return f"<backend {self.spec}>"
 
     # shared word parsing for the free and Klein backends
-    def _parse_word(self, text: str, letter_gens: dict[str, tuple], line: int | None) -> tuple:
+    def _parse_word(self, text: str, letter_gens: dict[str, tuple], line: int | None,
+                    max_letters: int | None = None) -> tuple:
         key = self.identity_key
         found = False
         for m in _WORD_TOKEN.finditer(text):
@@ -311,7 +284,12 @@ class GroupBackend:
             if gen is None:
                 raise ParseError(f"generator {letter!r} not in group {self.spec}", line=line, column=col)
             exponent = _parse_int(fm.group(2), line=line, column=col) if fm.group(2) else 1
+            # a letter's power has |exponent| letters, so it is refused before pow_key builds it
+            if max_letters is not None and abs(exponent) > max_letters:
+                raise ResourceLimitError(f"{tok} has more than {max_letters} letters")
             key = self.mul_key(key, self.pow_key(gen, exponent))
+            if max_letters is not None and len(key) > max_letters:
+                raise ResourceLimitError(f"the word grows past {max_letters} letters at {tok}")
         if not found:
             raise ParseError("empty element text", line=line, column=1)
         return key
@@ -410,24 +388,25 @@ class FreeBackend(GroupBackend):
                 return root, n // length
         raise AssertionError("unreachable: a word is always a power of itself")
 
+    def pow_key(self, a, n):
+        # a = s core s^-1 with the core cyclically reduced, so s core^n s^-1 is already reduced
+        if not n:
+            return ()
+        s, core = self._cyclic_reduce(a)
+        if n < 0:
+            core, n = self.inv_key(core), -n
+        return s + core * n + self.inv_key(s)
+
     def in_cyclic_key(self, g, h):
+        # h^k = s core^k s^-1 has 2|s| + |k||core| letters, which leaves k = +-j for one j
         if not g:
             return 0
         s, core = self._cyclic_reduce(h)
-        # g in <h> iff s^-1 g s is a literal power of the cyclically reduced core
-        t = self.mul_key(self.mul_key(self.inv_key(s), g), s)
-        n = len(core)
-        if not t or len(t) % n:
-            return None
-        k = len(t) // n
-        if core * k == t:
-            return k
-        if self.inv_key(core) * k == t:
-            return -k
-        return None
+        j, r = divmod(len(g) - 2 * len(s), len(core))
+        return next((k for k in (j, -j) if not r and self.pow_key(h, k) == g), None)
 
     def parse_key(self, text, line=None):
-        return self._parse_word(text, self._letter_gens, line)
+        return self._parse_word(text, self._letter_gens, line, WORD_LENGTH_CAP)
 
     def check_key(self, key):
         ok = isinstance(key, tuple) and all(
@@ -549,19 +528,35 @@ class HeisenbergBackend(GroupBackend):
     def generator_keys(self):
         return [(1, 0, 0), (0, 1, 0)]
 
-    def primitive_root_key(self, p):
-        x, y, z = p
+    def primitive_root_key(self, key):
+        """(root, e) with root^e == key and e maximal; key must not be the identity.
+
+        (p, q, r)^e = (ep, eq, er + C(e,2)pq), so e divides t = gcd(x, y),
+        and with p = x/e, q = y/e it must divide z - C(e,2)pq. Write e = o 2^a
+        with o odd. C(e,2) is a multiple of o, so the odd part asks o | z:
+        o may be any odd number dividing gcd(t, z). For a >= 1,
+        C(e,2) is 2^(a-1) times an odd number, so modulo 2^a the condition
+        is 2^a | z when pq is even, and v2(z) = a - 1 when pq is odd, which
+        is exactly when v2(x) = v2(y) = a. With m = v2(t), every a < m needs
+        only 2^a | z, and a = m passes only if every a < m does. So the valid
+        exponents are the numbers dividing the largest one, the odd part of
+        gcd(t, z) times 2^a for the largest valid a. Roots are unique, so
+        this is the primitive root.
+        """
+        x, y, z = key
         if x == 0 and y == 0:
             return (0, 0, 1 if z > 0 else -1), abs(z)
-        # (px, py, pz)^e = (e px, e py, e pz + C(e,2) px py), so e | gcd(x, y)
-        # and the z-coordinate fixes pz when it is integral
         t = gcd(x, y)
-        for e in reversed(divisors(t)):
-            px, py = x // e, y // e
-            num = z - (e * (e - 1) // 2) * px * py
-            if num % e == 0:
-                return (px, py, num // e), e
-        raise AssertionError("unreachable: e = 1 always succeeds")
+        e = gcd(t, z)  # o 2^min(m, v2(z)), the answer unless pq can be odd at a = m
+        low = t & -t  # 2^m
+        if low > 1 and x & y & low:
+            # v2(x) = v2(y) = m >= 1: a = m holds iff v2(z) = m - 1
+            if e & -e == low:
+                e //= 2
+            elif e & -e == low >> 1:
+                e *= 2
+        px, py = x // e, y // e
+        return (px, py, (z - (e * (e - 1) // 2) * px * py) // e), e
 
 
 _BACKEND_CACHE: dict[str, GroupBackend] = {}
@@ -590,7 +585,7 @@ def backend_from_spec(spec: str) -> GroupBackend:
 
 
 def _parse_spec_int(spec: str, tail: str) -> int:
-    if not re.fullmatch(r"\d+", tail):
+    if not re.fullmatch(r"[0-9]+", tail):
         raise UsageError(f"bad numeric parameter in group spec {spec!r}")
     return _parse_int(tail, UsageError)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sumsetlab.cli import main
-from sumsetlab.groups import backend_from_spec
+from sumsetlab.groups import WORD_LENGTH_CAP, FreeBackend, backend_from_spec
 from sumsetlab.laws import LAW_IDS, klein_grid_sets
 from sumsetlab.setops import FiniteSubset
 
@@ -549,6 +549,44 @@ def test_verify_3k4_with_exponents_past_the_divisor_cap(tmp_path, capsys):
     afile.write_text("".join(f"({i * 10**16})\n" for i in range(4)))
     code, out, err = run_cli(capsys, "verify", "--law", "3k4", "--group", "zd:1", "--a-file", str(afile))
     assert (code, out, err) == (0, "3k4: holds slack=-1\n", "")
+
+
+def test_verify_hls_on_heis_root_past_2_to_the_40(tmp_path, capsys):
+    # (2^41, 2^41, 0) = (2, 2, 2 - 2^41)^(2^40), so A = {1, that power} lies in a cyclic subgroup
+    afile, bfile = tmp_path / "A.txt", tmp_path / "B.txt"
+    afile.write_text(f"(0,0,0)\n({2**41},{2**41},0)\n")
+    bfile.write_text("(0,0,0)\n(0,1,0)\n(1,1,0)\n(2,0,0)\n(3,1,1)\n")
+    code, out, err = run_cli(capsys, "verify", "--law", "hls", "--group", "heis",
+                             "--a-file", str(afile), "--b-file", str(bfile))
+    assert (code, out, err) == (0, "hls: hypothesis_not_met (A lies in a left coset of a cyclic subgroup)\n", "")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a^1000000000", "a^1000000000 has more than 1048576 letters"),
+    ("a^600000 a^600000", "the word grows past 1048576 letters at a^600000"),
+], ids=["one_factor", "two_factors"])
+def test_free_word_past_the_length_cap_exits_2(tmp_path, capsys, monkeypatch, line, message):
+    # pow_key is never asked for a word past the cap, so neither line allocates one
+    pow_key = FreeBackend.pow_key
+    monkeypatch.setattr(FreeBackend, "pow_key", lambda self, a, n: pow_key(self, a, n) if abs(n) <= WORD_LENGTH_CAP
+                        else pytest.fail(f"pow_key({a}, {n})"))
+    path = tmp_path / "word.txt"
+    path.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "sumset", str(path), str(path), "--group", "free:2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, group", [("(\u0663,0)", "zd:2"), ("u^\u0663", "klein")], ids=["coordinate", "exponent"])
+def test_non_ascii_digit_in_a_set_file_exits_2(tmp_path, capsys, text, group):
+    path = tmp_path / "set.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sumset", str(path), str(path), "--group", group)
+    assert (code, out) == (2, "") and err.startswith("parse error: ")
+
+
+def test_non_ascii_digit_in_a_group_spec_exits_2(z_files, capsys):
+    code, out, err = run_cli(capsys, "sumset", *z_files, "--group", "zd:\u0661")
+    assert (code, out) == (2, "") and "bad numeric parameter in group spec" in err
 
 
 def test_explore_unknown_config_key_exits_2(tmp_path, capsys):

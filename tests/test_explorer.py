@@ -532,6 +532,8 @@ def test_hunt_3k4_checks_only_small_squares(monkeypatch, grid):
     ("atom_conjecture", {"backend": "zd:1", "span": 2, "n_max": "2"}, "n_max"),
     ("atom_conjecture", {"backend": "zd:1", "span": 2, "x_radius": float("inf")}, "x_radius"),
     ("3k4", {"sizes": [4, True]}, "sizes"),
+    ("3k4", {"radius": -1}, "radius"),
+    ("atom_conjecture", {"x_radius": -1}, "x_radius"),
 ])
 def test_hunt_rejects_malformed_grid_naming_the_field(conjecture, grid, field):
     with pytest.raises(UsageError, match=f"'{field}'"):

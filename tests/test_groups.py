@@ -1,13 +1,14 @@
 """Backend arithmetic: normal forms, roots, cyclic membership, balls."""
 
 import functools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UsageError
-from sumsetlab.groups import DIVISOR_CAP, FreeBackend, backend_from_spec, divisors
+from sumsetlab.groups import WORD_LENGTH_CAP, FreeBackend, backend_from_spec
 from sumsetlab.setops import FiniteSubset, product_set, product_size
 
 
@@ -146,7 +147,7 @@ def test_power_matches_iterated_multiply(any_backend):
     ball = any_backend.ball_keys(3)
     for _ in range(120):
         g = rng.choice(ball)
-        n = rng.randint(-7, 7)
+        n = rng.randint(-40, 40)
         direct = any_backend.pow_key(g, n)
         step = g if n >= 0 else any_backend.inv_key(g)
         acc = any_backend.identity_key
@@ -266,30 +267,48 @@ def test_primitive_root_maximality_brute_force(any_backend):
         assert oracle == e
 
 
-# -- divisors ------------------------------------------------------------------
+def heis_root_oracle(key):
+    """The primitive root by trying every divisor e of gcd(x, y), largest first."""
+    x, y, z = key
+    t = math.gcd(x, y)
+    for e in sorted((d for d in range(1, abs(t) + 1) if t % d == 0), reverse=True):
+        px, py = x // e, y // e
+        num = z - (e * (e - 1) // 2) * px * py
+        if num % e == 0:
+            return (px, py, num // e), e
 
 
-def test_divisors_match_trial_division():
-    for n in range(1, 80):
-        expected = [d for d in range(1, n + 1) if n % d == 0]
-        assert divisors(n) == divisors(-n) == expected
+def test_heisenberg_root_matches_divisor_search(heis):
+    rng = random.Random(19)
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            g = (rng.randint(-200, 200), rng.randint(-200, 200), rng.randint(-10**4, 10**4))
+        else:
+            h = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-50, 50))
+            g = heis.pow_key(h, rng.randint(1, 16))
+        if g[:2] != (0, 0):
+            assert heis.primitive_root_key(g) == heis_root_oracle(g), g
 
 
-def test_divisors_at_the_cap():
-    assert DIVISOR_CAP == 1 << 40
-    assert divisors(DIVISOR_CAP) == divisors(-DIVISOR_CAP) == [1 << i for i in range(41)]
+def test_heisenberg_root_at_large_exponents(heis):
+    rng = random.Random(20)
+    for _ in range(500):
+        h = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-50, 50))
+        if h[:2] == (0, 0) or heis.primitive_root_key(h)[1] != 1:
+            continue
+        e = rng.randint(1, 2**60)
+        g = heis.pow_key(h, e)
+        root, exponent = heis.primitive_root_key(g)
+        # heis roots are unique, so a root that is its own primitive root shows e is maximal
+        assert heis.pow_key(root, exponent) == g
+        assert heis.primitive_root_key(root)[1] == 1
+        assert (root, exponent) == (h, e)
+    assert heis.primitive_root_key(heis.pow_key((3, 5, 11), 9 * 2**60)) == ((3, 5, 11), 9 * 2**60)
 
 
-@pytest.mark.parametrize("n", [DIVISOR_CAP + 1, -(DIVISOR_CAP + 1), 10**100])
-def test_divisors_above_the_cap_is_a_resource_limit(n):
-    # 10**100 would take 10**50 trial divisions, so this also shows the check comes first
-    with pytest.raises(ResourceLimitError, match="-bit integer exceeds the divisor cap 1099511627776$"):
-        divisors(n)
-
-
-def test_heisenberg_root_above_the_divisor_cap_is_a_resource_limit(heis):
-    with pytest.raises(ResourceLimitError):
-        heis.primitive_root_key((2**41, 2**41, 0))
+def test_heisenberg_root_past_2_to_the_40(heis):
+    # trial division would need 2^20 steps; the closed form needs none
+    assert heis.primitive_root_key((2**41, 2**41, 0)) == ((2, 2, 2 - 2**41), 2**40)
 
 
 # -- cyclic membership --------------------------------------------------------
@@ -449,6 +468,11 @@ def test_round_trip_all_small_elements(any_backend):
 def test_parse_errors(z2, klein, free2):
     with pytest.raises(ParseError):
         z2.parse("(1)")
+    # re's \d and int() take any Unicode digit; coordinates and exponents are ASCII
+    with pytest.raises(ParseError):
+        z2.parse("(\u0663,0)")
+    with pytest.raises(ParseError):
+        klein.parse("u^\u0663")
     with pytest.raises(ParseError):
         z2.parse("1,2")
     with pytest.raises(ParseError):
@@ -482,6 +506,24 @@ def test_spec_parameter_past_the_digit_limit_is_a_usage_error(too_long_int):
         backend_from_spec("zd:" + too_long_int)
 
 
+def test_free_word_past_the_length_cap_is_a_resource_limit(free2, klein, monkeypatch):
+    assert WORD_LENGTH_CAP == 1 << 20
+    assert len(free2.parse_key(f"b a^{WORD_LENGTH_CAP - 1}")) == WORD_LENGTH_CAP
+    assert free2.parse_key(f"a^{WORD_LENGTH_CAP} a^-{WORD_LENGTH_CAP}") == ()
+    # a Klein power is a pair of integers however large its exponent
+    assert klein.parse_key(f"u^{10**30}") == (10**30, 0)
+    # a refused exponent never reaches pow_key, so no long word is built first
+    monkeypatch.setattr(FreeBackend, "pow_key", lambda self, a, n: pytest.fail(f"pow_key({a}, {n})"))
+    with pytest.raises(ResourceLimitError, match="^a\\^1048577 has more than 1048576 letters$"):
+        free2.parse_key(f"a^{WORD_LENGTH_CAP + 1}")
+
+
+def test_free_word_growing_past_the_length_cap_is_a_resource_limit(free2):
+    half = WORD_LENGTH_CAP // 2 + 1
+    with pytest.raises(ResourceLimitError, match="^the word grows past 1048576 letters at b\\^"):
+        free2.parse_key(f"a^{half} b^{half}")
+
+
 def test_parse_normalizes_words(free2, klein):
     assert free2.parse("a a^-1 b").key == (2,)
     assert klein.parse("v u").key == (1, -1)
@@ -496,6 +538,8 @@ def test_backend_spec_round_trip():
         assert backend.unique_product
     with pytest.raises(UsageError):
         backend_from_spec("zd:x")
+    with pytest.raises(UsageError, match="bad numeric parameter"):
+        backend_from_spec("zd:\u0661")
     with pytest.raises(UsageError):
         backend_from_spec("cyclic:5")
 

@@ -43,7 +43,7 @@ from sumsetlab.reports import (
     VERDICT_VIOLATED,
     VERDICTS,
 )
-from sumsetlab.setops import FiniteSubset, deficiency
+from sumsetlab.setops import FiniteSubset
 
 
 def zset(z1, values):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sumsetlab import laws
-from sumsetlab.groups import backend_from_spec, divisors
+from sumsetlab.groups import backend_from_spec
 from sumsetlab.laws import _translate_ratios, check_equality_characterization
 from sumsetlab.reports import subset_payload
 from sumsetlab.setops import (
@@ -25,6 +25,11 @@ BALLS = {spec: backend.ball_keys(2) for spec, backend in BACKENDS.items()}
 
 
 # -- oracles -----------------------------------------------------------------
+
+
+def divisors(n):
+    """Positive divisors of a positive n, by trial division."""
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def progression_through(A, r_key):

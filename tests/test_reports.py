@@ -3,7 +3,6 @@
 import json
 
 from sumsetlab import groups
-from sumsetlab.groups import backend_from_spec
 from sumsetlab.reports import (
     LawReport,
     subset_from_payload,
