@@ -20,7 +20,7 @@ from .explorer import (
     run_campaign,
     summarize,
 )
-from .groups import backend_from_spec
+from .groups import _parse_int, backend_from_spec
 from .isoperimetry import IsoInstance, kappa_restricted
 from .laws import (
     LAWS,
@@ -38,14 +38,19 @@ def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> No
     parser.add_argument("--out")
 
 
-def _emit(args, lines_text, objects) -> None:
-    """Write text lines or one JSON object per line, to stdout or --out."""
-    if args.format == "json":
+def _integer(text: str) -> int:
+    """An integer flag, read in the set-file grammar: ASCII -?[0-9]+ within Python's digit limit."""
+    return _parse_int(text, argparse.ArgumentTypeError)
+
+
+def _emit(fmt: str, out, lines_text, objects) -> None:
+    """Write text lines or one JSON object per line, to the file out or, when it is None, to stdout."""
+    if fmt == "json":
         payload = "\n".join(json.dumps(obj, sort_keys=True) for obj in objects) + "\n"
     else:
         payload = "\n".join(lines_text) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -74,7 +79,7 @@ def _cmd_sumset(args) -> int:
     lines.append(f"|AB| = {len(AB)}")
     lines.append(f"deficiency = {dfc}")
     obj = {"product": subset_payload(AB), "size": len(AB), "deficiency": dfc}
-    _emit(args, lines, [obj])
+    _emit(args.format, args.out, lines, [obj])
     return 0
 
 
@@ -96,7 +101,7 @@ def _cmd_kappa(args) -> int:
         "atoms": [subset_payload(U) for U in result.atoms],
         "fragments_sample": [subset_payload(F) for F in result.fragments_sample],
     }
-    _emit(args, lines, [obj])
+    _emit(args.format, args.out, lines, [obj])
     return 0
 
 
@@ -122,7 +127,7 @@ def _cmd_verify(args) -> int:
              "use_general_bound": args.general_bound, "sizes": (2, args.max_size)}
     inputs = {name: _verify_input(args, backend, name) for name in law.sets}
     reports = law.run(**inputs, **{p: flags[p] for p in law.params})
-    _emit(args, [_report_lines(r) for r in reports], [r.to_dict() for r in reports])
+    _emit(args.format, args.out, [_report_lines(r) for r in reports], [r.to_dict() for r in reports])
     bad = any(r.verdict == VERDICT_VIOLATED and r.law in THEOREM_LAWS for r in reports)
     return 1 if bad else 0
 
@@ -153,7 +158,7 @@ EXAMPLES = {
 
 def _cmd_example(args) -> int:
     lines, obj = EXAMPLES[args.name](args)
-    _emit(args, lines, [obj])
+    _emit(args.format, args.out, lines, [obj])
     return 0
 
 
@@ -182,10 +187,8 @@ def _cmd_explore(args) -> int:
         "clean": run.clean,
         "version": run.version,
     }
-    if args.format == "json":
-        sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    # --out is the record store, so the summary goes to stdout
+    _emit(args.format, None, lines, [obj])
     return 0 if run.clean else 1
 
 
@@ -196,7 +199,7 @@ def _cmd_report(args) -> int:
     csv_lines = [",".join(header)]
     for row in rows:
         csv_lines.append(",".join("" if row[h] is None else str(row[h]) for h in header))
-    _emit(args, csv_lines, rows)
+    _emit(args.format, args.out, csv_lines, rows)
     violated = any(row["violated"] for row in rows if row["law"] in THEOREM_LAWS)
     return 1 if violated else 0
 
@@ -221,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kappa", help="restricted isoperimetric minimum of a set file")
     p.add_argument("c_file")
     p.add_argument("--group", **group_kw)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--radius", type=int, default=4)
+    p.add_argument("--n", type=_integer, default=1)
+    p.add_argument("--radius", type=_integer, default=4)
     _add_common(p)
     p.set_defaults(func=_cmd_kappa)
 
@@ -233,27 +236,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-file")
     p.add_argument("--c-file")
     p.add_argument("--window-file")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--n", type=_integer, default=2)
+    p.add_argument("--k", type=_integer, default=1)
+    p.add_argument("--d", type=_integer, default=3)
+    p.add_argument("--m", type=_integer, default=1)
+    p.add_argument("--radius", type=_integer, default=3)
+    p.add_argument("--max-size", type=_integer, default=4)
     p.add_argument("--general-bound", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("example", help="construct a named example family")
     p.add_argument("--name", required=True, choices=tuple(EXAMPLES))
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--m", type=_integer, default=1)
+    p.add_argument("--k", type=_integer, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("explore", help="run a seeded campaign from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--seed", type=_integer)
+    p.add_argument("--jobs", type=_integer)
     _add_common(p)
     p.set_defaults(func=_cmd_explore)
 

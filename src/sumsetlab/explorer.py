@@ -29,7 +29,7 @@ from .errors import ParseError, ResourceLimitError, UsageError
 from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, _digit_limit, backend_from_spec
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4
 from .reports import LawReport, VERDICT_FINDING, VERDICT_SKIPPED, VERDICT_VIOLATED, VERDICTS
-from .setops import FiniteSubset, ProductTable
+from .setops import FiniteSubset, ProductTable, _text_lines
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
@@ -148,12 +148,7 @@ def _is_int(value) -> bool:
 
 def load_config(path) -> dict:
     """A campaign config file's JSON object; malformed JSON is a ParseError at its position."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise ParseError(f"campaign config {path} is not UTF-8 text") from None
-    data = _json_loads(text, f"campaign config {path}")
+    data = _json_loads("".join(_text_lines(path, "campaign config")), f"campaign config {path}")
     if not isinstance(data, dict):
         raise ParseError(f"campaign config {path} is not a JSON object")
     return data
@@ -331,24 +326,18 @@ def write_records(path, records: list[dict]) -> None:
 
 def read_records(path) -> list[dict]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                record = _json_loads(line, f"record store {path}", lineno)
-                version = record.get("schema_version") if isinstance(record, dict) else None
-                if not _is_int(version) or version != SCHEMA_VERSION:
-                    raise ParseError(
-                        f"record store {path}: schema_version {version!r} is not {SCHEMA_VERSION}", lineno
-                    )
-                problem = _record_problem(record)
-                if problem is not None:
-                    raise ParseError(f"record store {path}: {problem}", lineno)
-                records.append(record)
-        except UnicodeDecodeError:
-            raise ParseError(f"record store {path} is not UTF-8 text") from None
+    for lineno, line in enumerate(_text_lines(path, "record store"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        record = _json_loads(line, f"record store {path}", lineno)
+        version = record.get("schema_version") if isinstance(record, dict) else None
+        if not _is_int(version) or version != SCHEMA_VERSION:
+            raise ParseError(f"record store {path}: schema_version {version!r} is not {SCHEMA_VERSION}", lineno)
+        problem = _record_problem(record)
+        if problem is not None:
+            raise ParseError(f"record store {path}: {problem}", lineno)
+        records.append(record)
     return records
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from itertools import groupby
 from math import gcd
 from typing import Optional
 
@@ -35,6 +36,7 @@ WORD_LENGTH_CAP = 1 << 20
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WORD_TOKEN = re.compile(r"\S+")
 _FACTOR = re.compile(r"([a-z])(?:\^(-?[0-9]+))?\Z")
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class GroupElement:
@@ -149,13 +151,7 @@ class GroupBackend:
         parts = s[1:-1].split(",")
         if len(parts) != arity:
             raise ParseError(f"expected {arity} coordinates, got {len(parts)}", line=line, column=1)
-        values = []
-        for part in parts:
-            part = part.strip()
-            if not re.fullmatch(r"-?[0-9]+", part):
-                raise ParseError(f"bad integer coordinate {part!r}", line=line, column=1)
-            values.append(_parse_int(part, line=line, column=1))
-        return tuple(values)
+        return tuple(_parse_int(part.strip(), what="integer coordinate", line=line, column=1) for part in parts)
 
     def format_key(self, key: tuple) -> str:
         return "(" + ",".join(map(_format_int, key)) + ")"
@@ -418,23 +414,13 @@ class FreeBackend(GroupBackend):
             raise UsageError(f"{key!r} is not a reduced {self.spec} word")
 
     def format_key(self, key):
-        if not key:
-            return "1"
-        parts = []
-        run_val, run_len = key[0], 1
-        for x in key[1:]:
-            if x == run_val:
-                run_len += 1
-            else:
-                parts.append((run_val, run_len))
-                run_val, run_len = x, 1
-        parts.append((run_val, run_len))
         out = []
-        for val, count in parts:
+        for val, run in groupby(key):
             letter = self.letters[abs(val) - 1]
+            count = len(list(run))
             exponent = count if val > 0 else -count
             out.append(letter if exponent == 1 else f"{letter}^{exponent}")
-        return " ".join(out)
+        return " ".join(out) if out else "1"
 
 
 class KleinBackend(GroupBackend):
@@ -590,8 +576,14 @@ def _parse_spec_int(spec: str, tail: str) -> int:
     return _parse_int(tail, UsageError)
 
 
-def _parse_int(text: str, error=ParseError, **where) -> int:
-    """int(text) of a signed decimal; past Python's digit limit it raises error(message, **where)."""
+def _parse_int(text: str, error=ParseError, what: str = "integer", **where) -> int:
+    """The value of an ASCII decimal -?[0-9]+, the grammar of set files and integer CLI flags.
+
+    Other text raises error(f"bad {what} {text!r}", **where); so does a
+    number past Python's digit limit, with a message naming the limit.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise error(f"bad {what} {text!r}", **where)
     try:
         return int(text)
     except ValueError:

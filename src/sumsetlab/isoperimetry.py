@@ -56,21 +56,23 @@ class IsoResult:
     atoms: tuple[FiniteSubset, ...]
     fragments_sample: tuple[FiniteSubset, ...]
     certificate: str
-    instance: IsoInstance
 
 
-class _Search:
-    """One combination-tree traversal over window subsets containing the identity.
+def _search(inst: IsoInstance, global_lower: int, fragment_limit: int) -> tuple[int, list, list]:
+    """The value, its minimum-size minimizers and its first minimizers in preorder.
 
-    The products window*C are numbered once by a ProductTable, so XC is an
-    int bitmask: each candidate has a row mask, a child's mask is its
-    parent's OR its row, and |XC| is the mask's popcount. Two admissible
-    bounds prune subtrees that cannot tie the incumbent, or, past the
-    atoms once the fragment sample is full, cannot beat it: adding one
-    element lowers the objective by at most 1, and for every fixed c in C
-    the map x -> x*c is injective, so the reduction is at most the number
-    of undecided candidates whose c-product already lies in XC,
-    popcount(mask & suffix_c[i]).
+    One combination-tree traversal over window subsets containing the
+    identity. The products window*C are numbered once by a ProductTable, so
+    XC is an int bitmask: a child's mask is its parent's OR the candidate's
+    row, and |XC| is its popcount. Two admissible bounds prune subtrees that
+    cannot tie the incumbent: adding one element lowers the objective by at
+    most 1, and for every fixed c in C the map x -> x*c is injective, so the
+    reduction is at most the number of undecided candidates whose c-product
+    already lies in XC, popcount(mask & suffix_c[i]). Once the fragment
+    sample is full, a node at least as large as the current atoms (the
+    cutoff) has only larger descendants, which change the outputs only
+    through a strictly smaller value: there the bounds prune every subtree
+    that cannot beat the incumbent, and a certified value stops the search.
 
     A node's loop scores each child in place: it ORs the child's row into
     the mask, records the child if it ties or beats the incumbent, and
@@ -78,106 +80,89 @@ class _Search:
     call and its key tuple. The loop ends at the last child whose subtree
     still reaches n elements.
     """
+    id_key = inst.backend.identity_key
+    keys = inst.window.keys
+    ident = keys.index(id_key)
+    cands = keys[:ident] + keys[ident + 1:]
+    n, total = inst.n, len(cands)
+    # a row's bits are distinct, as c -> x*c is injective, so sum is OR
+    per_c = [[1 << k for k in row] for row in ProductTable(inst.window, inst.C).rows]
+    root = sum(per_c.pop(ident))
+    rows = [sum(r) for r in per_c]
+    # suffix[i][k]: the k-th c's products of cands[i:]
+    acc = [0] * len(inst.C)
+    suffix = [acc]
+    for r in reversed(per_c):
+        acc = [a | b for a, b in zip(acc, r)]
+        suffix.append(acc)
+    suffix.reverse()
 
-    def __init__(self, inst: IsoInstance):
-        self.id_key = inst.backend.identity_key
-        keys = inst.window.keys
-        ident = keys.index(self.id_key)
-        self.cands = keys[:ident] + keys[ident + 1:]
-        self.n = inst.n
-        # a row's bits are distinct, as c -> x*c is injective, so sum is OR
-        per_c = [[1 << k for k in row] for row in ProductTable(inst.window, inst.C).rows]
-        self.root = sum(per_c.pop(ident))
-        self.rows = [sum(r) for r in per_c]
-        # suffix[i][k]: the k-th c's products of cands[i:]
-        acc = [0] * len(inst.C)
-        self.suffix = [acc]
-        for r in reversed(per_c):
-            acc = [a | b for a, b in zip(acc, r)]
-            self.suffix.append(acc)
-        self.suffix.reverse()
+    # the incumbent: the least objective at sizes >= n along a greedy growth
+    # from {1} that adds, each step, the first candidate with the fewest new products
+    mask, size = root, 1
+    objs = [mask.bit_count() - 1] if n == 1 else []
+    pool = list(rows)
+    while size < min(total + 1, max(n, 2) + 12):
+        pos = min(range(len(pool)), key=lambda p: (pool[p] & ~mask).bit_count())
+        mask |= pool.pop(pos)
+        size += 1
+        if size >= n:
+            objs.append(mask.bit_count() - size)
+    best = min(objs)
+    atoms: list[tuple] = []
+    fragments: list[tuple] = []
+    cutoff = total + 2  # larger than every node until the sample is full
 
-    def greedy_upper(self) -> int:
-        """Objective of a greedily grown set; a deterministic incumbent."""
-        mask, size = self.root, 1
-        objs = [mask.bit_count() - 1] if self.n == 1 else []
-        limit = min(len(self.cands) + 1, max(self.n, 2) + 12)
-        pool = list(self.rows)
-        while size < limit:
-            # the first candidate adding the fewest new products
-            pos = min(range(len(pool)), key=lambda p: (pool[p] & ~mask).bit_count())
-            mask |= pool.pop(pos)
-            size += 1
-            if size >= self.n:
-                objs.append(mask.bit_count() - size)
-        return min(objs)
+    def record(X: tuple, size: int, obj: int) -> None:
+        nonlocal best, atoms, fragments, cutoff
+        key = tuple(sorted(X))
+        if obj < best:
+            best, atoms, fragments = obj, [], []
+        if not atoms or size < len(atoms[0]):
+            atoms = [key]
+        elif size == len(atoms[0]):
+            atoms.append(key)
+        if len(fragments) < fragment_limit:
+            fragments.append(key)
+        cutoff = len(atoms[0]) if len(fragments) >= fragment_limit else total + 2
 
-    def run(self, global_lower: int, fragment_limit: int) -> tuple[int, list, list]:
-        """The value, its minimum-size minimizers and its first minimizers in preorder.
-
-        Once the fragment sample is full, a node at least as large as the
-        current atoms (the cutoff) has only larger descendants, so they can
-        change the outputs only through a strictly smaller value: there the
-        bounds prune every subtree that cannot beat the incumbent, and a
-        certified value stops the expansion.
-        """
-        cands, rows, suffix, n = self.cands, self.rows, self.suffix, self.n
-        total = len(cands)
-        best = self.greedy_upper()
-        atoms: list[tuple] = []
-        fragments: list[tuple] = []
-        cutoff = total + 2  # larger than every node until the sample is full
-
-        def record(X: tuple, size: int, obj: int) -> None:
-            nonlocal best, atoms, fragments, cutoff
-            key = tuple(sorted(X))
-            if obj < best:
-                best, atoms, fragments = obj, [], []
-            if not atoms or size < len(atoms[0]):
-                atoms = [key]
-            elif size == len(atoms[0]):
-                atoms.append(key)
-            if len(fragments) < fragment_limit:
-                fragments.append(key)
-            cutoff = len(atoms[0]) if len(fragments) >= fragment_limit else total + 2
-
-        def expand(i: int, mask: int, size: int, X: tuple) -> None:
-            # every child has size + 1 elements, and the child cands[j]
-            # leaves total - j - 1 undecided; from j = total + size + 1 - n
-            # on, no set below it reaches n elements
-            size += 1
-            for j in range(i, min(total, total + size - n)):
-                child = mask | rows[j]
-                obj = child.bit_count() - size
-                if size >= n and obj <= best:
-                    record(X + (cands[j],), size, obj)
-                if size >= cutoff:
-                    if best == global_lower:
-                        continue
-                    gap = obj - best + 1
-                else:
-                    gap = obj - best
-                if gap > 0:
-                    if total - j <= gap:
-                        continue
-                    for s in suffix[j + 1]:
-                        if (child & s).bit_count() < gap:
-                            break
-                    else:
-                        expand(j + 1, child, size, X + (cands[j],))
+    def expand(i: int, mask: int, size: int, X: tuple) -> None:
+        # every child has size + 1 elements, and the child cands[j]
+        # leaves total - j - 1 undecided; from j = total + size + 1 - n
+        # on, no set below it reaches n elements
+        size += 1
+        for j in range(i, min(total, total + size - n)):
+            child = mask | rows[j]
+            obj = child.bit_count() - size
+            if size >= n and obj <= best:
+                record(X + (cands[j],), size, obj)
+            if size >= cutoff:
+                if best == global_lower:
                     continue
-                expand(j + 1, child, size, X + (cands[j],))
+                gap = obj - best + 1
+            else:
+                gap = obj - best
+            if gap > 0:
+                if total - j <= gap:
+                    continue
+                for s in suffix[j + 1]:
+                    if (child & s).bit_count() < gap:
+                        break
+                else:
+                    expand(j + 1, child, size, X + (cands[j],))
+                continue
+            expand(j + 1, child, size, X + (cands[j],))
 
-        # the greedy incumbent's set lies below the root, so no bound
-        # against it prunes the root; past its atoms the root can only be
-        # the atom {1} at n = 1, whose value |C| - 1 is certified
-        X, obj = (self.id_key,), self.root.bit_count() - 1
-        if n == 1 and obj <= best:
-            record(X, 1, obj)
-            if cutoff <= 1 and best == global_lower:
-                return best, atoms, fragments
-        expand(0, self.root, 1, X)
-        return best, atoms, fragments
+    # the greedy incumbent's set lies below the root, so no bound
+    # against it prunes the root; past its atoms the root can only be
+    # the atom {1} at n = 1, whose value |C| - 1 is certified
+    X, obj = (id_key,), root.bit_count() - 1
+    if n == 1 and obj <= best:
+        record(X, 1, obj)
+        if cutoff <= 1 and best == global_lower:
+            return best, atoms, fragments
+    expand(0, root, 1, X)
+    return best, atoms, fragments
 
 
 def kappa_restricted(inst: IsoInstance, fragment_limit: int = FRAGMENT_SAMPLE_LIMIT) -> IsoResult:
@@ -193,12 +178,12 @@ def kappa_restricted(inst: IsoInstance, fragment_limit: int = FRAGMENT_SAMPLE_LI
     if len(inst.window) > ENUM_WINDOW_CAP:
         fragment_limit = 0
     global_lower = len(inst.C) - 1
-    value, atom_keys, frag_keys = _Search(inst).run(global_lower, fragment_limit)
+    value, atom_keys, frag_keys = _search(inst, global_lower, fragment_limit)
     backend = inst.backend
     atoms = tuple(FiniteSubset._from_keys(backend, ks) for ks in sorted(atom_keys))
     fragments = tuple(FiniteSubset._from_keys(backend, ks) for ks in frag_keys)
     certificate = CERTIFIED_EXACT if value == global_lower else UPPER_BOUND_ONLY
-    return IsoResult(value, atoms, fragments, certificate, inst)
+    return IsoResult(value, atoms, fragments, certificate)
 
 
 def check_intersection_property(U: FiniteSubset, F: FiniteSubset, n: int, certificate: str | None = None) -> LawReport:

@@ -123,12 +123,7 @@ class FiniteSubset:
 
     @classmethod
     def from_file(cls, backend: GroupBackend, path) -> "FiniteSubset":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError:
-                raise ParseError(f"set file {path} is not UTF-8 text") from None
-        return cls.from_text(backend, text)
+        return cls.from_text(backend, "".join(_text_lines(path, "set file")))
 
     def to_text(self) -> str:
         fmt = self.backend.format_key
@@ -137,6 +132,15 @@ class FiniteSubset:
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
+
+
+def _text_lines(path, what: str):
+    """The lines of a UTF-8 text file, read one at a time; other bytes are a ParseError naming `what`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{what} {path} is not UTF-8 text") from None
 
 
 def _check_same_backend(A: FiniteSubset, B: FiniteSubset) -> None:

@@ -1,10 +1,12 @@
 """CLI contract: subcommands, formats, exit codes."""
 
 import json
+import re
 
 import pytest
 
-from sumsetlab.cli import main
+from sumsetlab.cli import build_parser, main
+from sumsetlab.explorer import Campaign, run_campaign
 from sumsetlab.groups import WORD_LENGTH_CAP, FreeBackend, backend_from_spec
 from sumsetlab.laws import LAW_IDS, klein_grid_sets
 from sumsetlab.setops import FiniteSubset
@@ -347,12 +349,51 @@ def test_sumset_lattice_dimension_above_the_cap_exits_2(z_files, capsys):
     assert code == 2 and "lattice dimension must be between 1 and 64" in err
 
 
-def test_explore_non_integer_jobs_exits_2(tmp_path):
-    config = tmp_path / "campaign.json"
-    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 1, "seed": 1}))
+# each integer flag after the required arguments of its command
+INTEGER_FLAGS = [
+    (["kappa", "c.txt", "--group", "zd:1"], flag) for flag in ("--n", "--radius")
+] + [
+    (["verify", "--law", "kempermann", "--group", "zd:1"], flag)
+    for flag in ("--n", "--k", "--d", "--m", "--radius", "--max-size")
+] + [
+    (["example", "--name", "c-lower"], flag) for flag in ("--m", "--k")
+] + [
+    (["explore", "--config", "campaign.json"], flag) for flag in ("--seed", "--jobs")
+]
+
+
+@pytest.mark.parametrize("form", ["x", "\u0667", "\uff17", "1_0", " 7", "+7"],
+                         ids=["letter", "arabic-indic", "fullwidth", "underscore", "space", "plus"])
+@pytest.mark.parametrize("argv, flag", INTEGER_FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in INTEGER_FLAGS])
+def test_non_integer_flag_exits_2(capsys, argv, flag, form):
+    # int() would read all but the letter; integer flags take the set-file grammar
     with pytest.raises(SystemExit) as exc:
-        main(["explore", "--config", str(config), "--jobs", "x"])
+        main([*argv, flag, form])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert exc.value.code == 2
+    assert errors == [f"sumsetlab {argv[0]}: error: argument {flag}: bad integer {form!r}"]
+    assert getattr(build_parser().parse_args([*argv, flag, "-3"]), flag[2:].replace("-", "_")) == -3
+
+
+def test_explore_stdout_is_the_summary_and_out_the_store(tmp_path, capsys):
+    data = {"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2, "seed": 4}
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps(data))
+    run = run_campaign(Campaign.from_dict(data))
+    for fmt in ("text", "json"):
+        store = tmp_path / f"{fmt}.jsonl"
+        code, out, _ = run_cli(capsys, "explore", "--config", str(config), "--format", fmt, "--out", str(store))
+        assert code == 0
+        assert [json.loads(line) for line in store.read_text().splitlines()] == run.records
+        if fmt == "json":
+            obj = {"campaign": run.campaign_hash, "clean": True, "counts": run.counts, "records": 2,
+                   "version": run.version}
+            assert out == json.dumps(obj, sort_keys=True) + "\n"
+        else:
+            lines = out.split("\n")
+            assert lines[:4] == [f"campaign = {run.campaign_hash}", "records = 2", f"counts = {run.counts}",
+                                 "clean = True"]
+            assert re.fullmatch(r"wall_clock = [0-9]+\.[0-9]{3}s", lines[4]) and lines[5:] == [""]
 
 
 def test_report_non_json_store_line_is_a_parse_error(tmp_path, capsys):

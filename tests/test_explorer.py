@@ -454,7 +454,7 @@ def test_hunt_atom_conjecture_findings_are_the_law_reports(monkeypatch):
 
     def two_element_atom(inst, fragment_limit):
         U = FiniteSubset.from_keys(inst.backend, [(0,), (1,)])
-        return IsoResult(len(inst.C) - 1, (U,), (), CERTIFIED_EXACT, inst)
+        return IsoResult(len(inst.C) - 1, (U,), (), CERTIFIED_EXACT)
 
     monkeypatch.setattr(laws, "kappa_restricted", two_element_atom)
     grid = {"backend": "zd:1", "span": 1, "n_max": 1, "x_radius": 1}
@@ -566,6 +566,20 @@ def test_read_records_rejects_another_schema_version(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, run.records[:2] + [dict(run.records[2], schema_version=99)])
     with pytest.raises(ParseError, match="schema_version 99 .* at line 3"):
+        read_records(path)
+
+
+def test_read_records_breaks_lines_only_at_newlines(tmp_path):
+    # a raw U+2028 inside a JSON string is text, not a line break, as it would be to str.splitlines
+    record = run_campaign(small_campaign()).records[0]
+    record = dict(record, report=dict(record["report"], detail="before\u2028after"))
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    assert read_records(path) == [record]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    with pytest.raises(ParseError, match="at line 2, column 1$"):
         read_records(path)
 
 
