@@ -108,9 +108,28 @@ class GroupBackend:
         raise NotImplementedError
 
     def product_keys(self, A_keys, B_keys) -> set:
-        """The set {a b : a in A_keys, b in B_keys}; backends inline their law here."""
+        """The set {a b : a in A_keys, b in B_keys}, one mul_key call per pair.
+
+        setops.product_size and setops.product_set count AB on a bitmask
+        grid when translation_parts splits B and the grid pays (see
+        setops._grid); this is their path otherwise: on free:<k> and heis
+        always, on zd:<d> and klein for small or sparse sets. Backends
+        inline their law here.
+        """
         mul = self.mul_key
         return {mul(a, b) for a in A_keys for b in B_keys}
+
+    def translation_parts(self, A_keys, B_keys) -> Optional[list[tuple]]:
+        """AB as translates of a few sets: (part, shifts) pairs, or None.
+
+        AB is the union over the pairs of {s + b : s in shifts, b in part},
+        with + coordinatewise on integer vectors; a part may be empty.
+        setops._grid counts AB on a bitmask from these. None where keys do
+        not multiply this way, as on free:<k>, or where the parts would
+        cost as much as the products, as on heis: (x, y, z) shears B by x
+        before it translates, so each x in A needs its own copy of B.
+        """
+        return None
 
     def inv_key(self, a: tuple) -> tuple:
         raise NotImplementedError
@@ -306,10 +325,14 @@ class LatticeBackend(GroupBackend):
         return tuple(map(operator.add, a, b))
 
     def product_keys(self, A_keys, B_keys):
-        # an inline form measured no faster than the generic one outside Z^2
+        # the law written out, for the small and sparse Z^2 products that setops._grid leaves
         if self.dim != 2:
             return super().product_keys(A_keys, B_keys)
         return {(x + u, y + v) for x, y in A_keys for u, v in B_keys}
+
+    def translation_parts(self, A_keys, B_keys):
+        # AB = BA, so the smaller set gives the shifts
+        return [(B_keys, A_keys)] if len(A_keys) <= len(B_keys) else [(A_keys, B_keys)]
 
     def inv_key(self, a):
         return tuple(-x for x in a)
@@ -444,6 +467,12 @@ class KleinBackend(GroupBackend):
 
     def product_keys(self, A_keys, B_keys):
         return {(a + c, d - b if c & 1 else b + d) for a, b in A_keys for c, d in B_keys}
+
+    def translation_parts(self, A_keys, B_keys):
+        # (a, b) moves u^c v^d by (a, b) when c is even and by (a, -b) when c is odd
+        even = [y for y in B_keys if not y[0] & 1]
+        odd = [y for y in B_keys if y[0] & 1]
+        return [(even, A_keys), (odd, [(a, -b) for a, b in A_keys])]
 
     def inv_key(self, x):
         a, b = x

@@ -46,6 +46,30 @@ def test_sumset_klein_grid(tmp_path, capsys):
     assert payload["size"] == 15
 
 
+SPARSE_SUMSETS = {
+    # grids over these boxes would need about 4 10^30 and 8 10^14 bits
+    "zd:2": ("(0,0)\n(1000000000000000,1000000000000000)\n",
+             ["(0,0)", "(1000000000000000,1000000000000000)", "(2000000000000000,2000000000000000)"], -1),
+    "klein": ("u^99999999999999\nv\n",
+              ["v^2", "u^99999999999999 v^-1", "u^99999999999999 v", "u^199999999999998"], 0),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("group", sorted(SPARSE_SUMSETS))
+def test_sumset_of_far_apart_elements(tmp_path, capsys, group, fmt):
+    text, product, dfc = SPARSE_SUMSETS[group]
+    path = tmp_path / "A.txt"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "sumset", str(path), str(path), "--group", group, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out) == {
+            "deficiency": dfc, "product": {"backend": group, "elements": product}, "size": len(product)}
+    else:
+        assert out.splitlines() == product + [f"|AB| = {len(product)}", f"deficiency = {dfc}"]
+
+
 def test_sumset_parse_error_has_position(tmp_path, z_files, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("(0)\nzzz\n")

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumsetlab import setops
 from sumsetlab.errors import DomainError, ParseError, ResourceLimitError, UsageError
 from sumsetlab.groups import WORD_LENGTH_CAP, FreeBackend, backend_from_spec
 from sumsetlab.setops import FiniteSubset, product_set, product_size
@@ -455,6 +456,91 @@ def test_product_keys_edge_cases(spec, A, B):
     backend = backend_from_spec(spec)
     assert_products_match_mul_key(backend, A, B)
     assert backend.identity_key in backend.product_keys(A, B)
+
+
+def takes_grid(backend, A, B):
+    return setops._grid(FiniteSubset.from_keys(backend, A), FiniteSubset.from_keys(backend, B)) is not None
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(["zd:1", "zd:2", "zd:3", "klein"]))
+def test_grid_sized_products_match_mul_key(spec, data):
+    # |A||B| >= 144 passes GRID_MIN_PAIRS, so the box alone picks the path
+    backend = backend_from_spec(spec)
+    A = data.draw(st.lists(element_keys(backend), min_size=12, max_size=19, unique=True))
+    B = data.draw(st.lists(element_keys(backend), min_size=12, max_size=19, unique=True))
+    assert_products_match_mul_key(backend, A, B)
+    assert_products_match_mul_key(backend, B, A)
+
+
+KLEIN_LEFT = [(c, d) for c in range(-5, 1) for d in (-2, 1)]  # u-exponents -5..0
+KLEIN_RIGHT = [(c, d) for c in (-3, -1, 2) for d in range(-2, 2)]
+
+
+@pytest.mark.parametrize("spec, A, B", [
+    ("zd:1", [(x,) for x in range(-9, 9) if x % 3], [(x,) for x in range(-9, 14, 2)]),
+    # a grid of more bits than Python's default limit on decimal digits
+    ("zd:1", [(x,) for x in range(100)], [(x,) for x in range(0, 5000, 50)]),
+    ("zd:3", [(x, y, z) for x in range(-1, 2) for y in range(2) for z in range(-2, 1)],
+     [(x, y, z) for x in (0, 2) for y in (-1, 1) for z in (0, 3)]),
+    # negative odd u-exponents on both sides, so both of B's parts are used
+    ("klein", KLEIN_LEFT, KLEIN_RIGHT),
+    ("klein", [(c, d) for c in (-5, -3, -1) for d in (-2, 0, 1, 3)], KLEIN_RIGHT + [(-7, 5), (-9, 0)]),
+])
+def test_dense_products_take_the_grid(spec, A, B):
+    backend = backend_from_spec(spec)
+    assert takes_grid(backend, A, B) and takes_grid(backend, B, A)
+    assert_products_match_mul_key(backend, A, B)
+    assert_products_match_mul_key(backend, B, A)
+
+
+ORIGIN_BLOCK = {"zd:1": [(x,) for x in range(1, 13)], "zd:2": [(x, y) for x in range(3) for y in range(1, 5)],
+                "klein": [(x, y) for x in range(-1, 2) for y in range(1, 5)]}
+
+
+@pytest.mark.parametrize("spec, sparse", [
+    ("zd:1", [(0,), (10**16,), (2 * 10**16,), (3 * 10**16,)]),
+    ("zd:2", [(0, 0), (10**12, 0)]),
+    ("klein", [(0, 0), (2**41, 1)]),
+])
+def test_sparse_products_take_the_set_path(spec, sparse):
+    backend = backend_from_spec(spec)
+    assert_products_match_mul_key(backend, sparse, sparse)
+    # with a block at the origin there are pairs enough for the grid, but the box is too big
+    A = sparse + ORIGIN_BLOCK[spec]
+    assert len(A) ** 2 >= setops.GRID_MIN_PAIRS
+    assert not takes_grid(backend, A, A)
+    assert_products_match_mul_key(backend, A, A)
+
+
+@pytest.mark.parametrize("spec, A, B, top", [
+    # 8 translates of A, bits = 16 + t, 128 pairs
+    ("zd:1", [(y,) for y in range(16)], lambda t: [(y,) for y in range(7)] + [(t,)], lambda K: 16 * K - 16),
+    # 8 translates of A, bits = 2 (16 + t), 128 pairs
+    ("zd:2", [(0, y) for y in range(16)], lambda t: [(0, y) for y in range(7)] + [(1, t)], lambda K: 8 * K - 16),
+    # 16 translates of each part, bits = 2 (t + 1), 128 pairs
+    ("klein", [(0, y) for y in range(16)], lambda t: [(0, y) for y in range(7)] + [(1, t)], lambda K: 2 * K - 1),
+])
+def test_grid_size_rule_boundary(spec, A, B, top):
+    """The grid is taken exactly when translates * bits <= GRID_BITS_PER_PAIR |A||B|."""
+    backend = backend_from_spec(spec)
+    t = top(setops.GRID_BITS_PER_PAIR)
+    assert len(A) * len(B(t)) >= setops.GRID_MIN_PAIRS
+    assert takes_grid(backend, A, B(t))
+    assert not takes_grid(backend, A, B(t + 1))
+    assert_products_match_mul_key(backend, A, B(t))
+    assert_products_match_mul_key(backend, A, B(t + 1))
+
+
+@pytest.mark.parametrize("spec", ["zd:1", "klein"])
+def test_grid_pair_count_boundary(spec):
+    backend = backend_from_spec(spec)
+    line = [(0,) * (len(backend.identity_key) - 1) + (y,) for y in range(setops.GRID_MIN_PAIRS)]
+    one = [backend.identity_key]
+    assert takes_grid(backend, line, one)
+    assert not takes_grid(backend, line[1:], one)
+    assert_products_match_mul_key(backend, line, one)
+    assert_products_match_mul_key(backend, line[1:], one)
 
 
 # -- parsing and printing -------------------------------------------------------
