@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ResourceLimitError, UsageError
-from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, _digit_limit, backend_from_spec
+from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, _digit_limit, _is_int, backend_from_spec
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4
 from .reports import LawReport, VERDICT_FINDING, VERDICT_SKIPPED, VERDICT_VIOLATED, VERDICTS
 from .setops import FiniteSubset, ProductTable, _text_lines
@@ -99,9 +99,9 @@ class Campaign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Campaign":
-        version = data.get("schema_version", SCHEMA_VERSION)
+        version = _int_field(data, "schema_version", SCHEMA_VERSION, "campaign")
         if version != SCHEMA_VERSION:
-            raise UsageError(f"unsupported campaign schema_version {version}")
+            raise UsageError(f"unsupported campaign schema_version {version!r}")
         fields = dataclasses.fields(cls)
         names = {f.name for f in fields} | {"schema_version"}
         unknown = [key for key in data if key not in names]
@@ -140,10 +140,6 @@ def _int_value(value, default, what: str):
     if not (isinstance(value, (list, tuple)) and all(_is_int(x) for x in value)):
         raise UsageError(f"{what} needs a list of integers, got {value!r}")
     return tuple(value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path) -> dict:

@@ -56,6 +56,8 @@ class GroupElement:
         return GroupElement(self.backend, self.backend.mul_key(self.key, other.key))
 
     def __pow__(self, n: int) -> "GroupElement":
+        if not _is_int(n):
+            raise UsageError(f"an exponent must be an integer, got {n!r}")
         return GroupElement(self.backend, self.backend.pow_key(self.key, n))
 
     def inverse(self) -> "GroupElement":
@@ -110,11 +112,9 @@ class GroupBackend:
     def product_keys(self, A_keys, B_keys) -> set:
         """The set {a b : a in A_keys, b in B_keys}, one mul_key call per pair.
 
-        setops.product_size and setops.product_set count AB on a bitmask
-        grid when translation_parts splits B and the grid pays (see
-        setops._grid); this is their path otherwise: on free:<k> and heis
-        always, on zd:<d> and klein for small or sparse sets. Backends
-        inline their law here.
+        setops.product_size and setops.product_set take this path where
+        setops._grid declines: always on free:<k> and heis, whose kernels
+        override it, and for sparse sets on zd:<d> and klein.
         """
         mul = self.mul_key
         return {mul(a, b) for a in A_keys for b in B_keys}
@@ -324,12 +324,6 @@ class LatticeBackend(GroupBackend):
     def mul_key(self, a, b):
         return tuple(map(operator.add, a, b))
 
-    def product_keys(self, A_keys, B_keys):
-        # the law written out, for the small and sparse Z^2 products that setops._grid leaves
-        if self.dim != 2:
-            return super().product_keys(A_keys, B_keys)
-        return {(x + u, y + v) for x, y in A_keys for u, v in B_keys}
-
     def translation_parts(self, A_keys, B_keys):
         # AB = BA, so the smaller set gives the shifts
         return [(B_keys, A_keys)] if len(A_keys) <= len(B_keys) else [(A_keys, B_keys)]
@@ -464,9 +458,6 @@ class KleinBackend(GroupBackend):
         a, b = x
         c, d = y
         return (a + c, (b if c % 2 == 0 else -b) + d)
-
-    def product_keys(self, A_keys, B_keys):
-        return {(a + c, d - b if c & 1 else b + d) for a, b in A_keys for c, d in B_keys}
 
     def translation_parts(self, A_keys, B_keys):
         # (a, b) moves u^c v^d by (a, b) when c is even and by (a, -b) when c is odd
@@ -603,6 +594,10 @@ def _parse_spec_int(spec: str, tail: str) -> int:
     if not re.fullmatch(r"[0-9]+", tail):
         raise UsageError(f"bad numeric parameter in group spec {spec!r}")
     return _parse_int(tail, UsageError)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_int(text: str, error=ParseError, what: str = "integer", **where) -> int:

@@ -8,6 +8,7 @@ forms so results are deterministic.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, product
 from math import gcd
@@ -24,15 +25,14 @@ from .groups import GroupBackend, GroupElement, LatticeBackend
 
 PRODUCT_TABLE_CAP = 1 << 20  # window products a ProductTable numbers
 GRID_BITS_PER_PAIR = 256  # shifted grid bits per (a, b) pair that _grid may spend
-GRID_MIN_PAIRS = 128  # fewer (a, b) pairs are hashed, not put on a grid
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class FiniteSubset:
-    """Sorted, deduplicated finite set of elements of a single backend."""
+    """Sorted, deduplicated finite set of elements of a single backend; membership is a binary search."""
 
-    __slots__ = ("backend", "_keys", "_keyset")
+    __slots__ = ("backend", "_keys")
 
     def __init__(self, backend: GroupBackend, elements=()):
         keys = set()
@@ -42,7 +42,6 @@ class FiniteSubset:
             keys.add(g.key)
         self.backend = backend
         self._keys = tuple(sorted(keys))
-        self._keyset = frozenset(self._keys)
 
     @classmethod
     def _from_keys(cls, backend: GroupBackend, sorted_keys: tuple) -> "FiniteSubset":
@@ -50,7 +49,6 @@ class FiniteSubset:
         obj = object.__new__(cls)
         obj.backend = backend
         obj._keys = tuple(sorted_keys)
-        obj._keyset = frozenset(obj._keys)
         return obj
 
     @classmethod
@@ -68,15 +66,18 @@ class FiniteSubset:
         return tuple(GroupElement(self.backend, k) for k in self._keys)
 
     def contains_key(self, key: tuple) -> bool:
-        return key in self._keyset
+        keys = self._keys
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
 
     def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
         _check_same_backend(self, other)
-        return FiniteSubset._from_keys(self.backend, tuple(k for k in self._keys if k in other._keyset))
+        members = set(other._keys)
+        return FiniteSubset._from_keys(self.backend, tuple(k for k in self._keys if k in members))
 
     def is_subset(self, other: "FiniteSubset") -> bool:
         _check_same_backend(self, other)
-        return self._keyset <= other._keyset
+        return set(other._keys).issuperset(self._keys)
 
     def translate_left(self, g: GroupElement) -> "FiniteSubset":
         _check_element(self, g)
@@ -96,7 +97,7 @@ class FiniteSubset:
         return (GroupElement(backend, k) for k in self._keys)
 
     def __contains__(self, g) -> bool:
-        return isinstance(g, GroupElement) and g.backend == self.backend and g.key in self._keyset
+        return isinstance(g, GroupElement) and g.backend == self.backend and self.contains_key(g.key)
 
     def __eq__(self, other) -> bool:
         return (
@@ -194,11 +195,7 @@ def _grid(A: FiniteSubset, B: FiniteSubset) -> Optional[tuple[int, list[int], li
     and memory stay within a constant factor: at most GRID_BITS_PER_PAIR
     bits moved and held per pair. Sparse sets, whose box dwarfs |A||B|,
     keep that path, and so does a backend with no translation_parts.
-    Below GRID_MIN_PAIRS pairs the grid's fixed cost, a few dozen
-    interpreter steps, outweighs the hashing, so small sets keep it too.
     """
-    if len(A) * len(B) < GRID_MIN_PAIRS:
-        return None
     parts = A.backend.translation_parts(A.keys, B.keys)
     if parts is None:
         return None
@@ -515,13 +512,14 @@ def max_progression_partition(U: FiniteSubset, g: GroupElement) -> list[Progress
         raise DomainError("partition requires g != 1")
     mul = U.backend.mul_key
     g_inv = U.backend.inv_key(g.key)
+    members = set(U.keys)
     parts = []
     for h in U.keys:
-        if mul(h, g_inv) in U._keyset:
+        if mul(h, g_inv) in members:
             continue
         length = 1
         cur = mul(h, g.key)
-        while cur in U._keyset:
+        while cur in members:
             length += 1
             cur = mul(cur, g.key)
         parts.append(ProgressionDescriptor(U.backend.element(h), g, length))

@@ -163,6 +163,12 @@ def test_example_klein_grid(capsys):
     assert payload["report"]["witness"]["product_size"] == 35
 
 
+def test_example_klein_union(capsys):
+    code, out, err = run_cli(capsys, "example", "--name", "klein-union", "--m", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["|A| = 7", "klein_union: holds slack=0"]
+
+
 def test_example_c_lower(capsys):
     assert run_cli(capsys, "example", "--name", "c-lower", "--k", "5") == (
         0, "k = 5: |B| = 16, deficiency = 5 (m = 4)\n", "")
@@ -232,6 +238,15 @@ def test_explore_missing_seed_prints_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "explore", "--config", str(config))
     assert code == 0
     assert "seed:" in err
+
+
+def test_explore_seed_flag_stands_for_the_config_seed(tmp_path, capsys):
+    data = {"backends": ["zd:1"], "laws": ["kempermann"], "budget": 2}
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "explore", "--config", str(config), "--seed", "5", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["campaign"] == Campaign.from_dict({**data, "seed": 5}).hash()
 
 
 def test_out_flag_writes_file(tmp_path, z_files, capsys):
@@ -308,6 +323,14 @@ def test_explore_malformed_json_is_a_parse_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "explore", "--config", str(config))
     assert code == 2
     assert "parse error" in err and "line 3, column 13" in err
+
+
+def test_explore_config_not_a_json_object_is_a_parse_error(tmp_path, capsys):
+    config = tmp_path / "campaign.json"
+    config.write_text('[{"backends": ["zd:1"], "laws": ["kempermann"]}]')
+    code, out, err = run_cli(capsys, "explore", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: campaign config {config} is not a JSON object\n"
 
 
 def test_explore_non_integer_field_is_a_usage_error(tmp_path, capsys):
@@ -490,6 +513,9 @@ def test_record_store_not_utf8_exits_2(tmp_path, capsys):
     ("radius", "2.9"),
     ("budget", '"5"'),
     ("radius", "2.0"),
+    ("schema_version", "true"),
+    ("schema_version", "1.0"),
+    ("schema_version", '"1"'),
 ])
 def test_explore_config_non_int_field_exits_2(field, text, tmp_path, capsys):
     config = tmp_path / "campaign.json"
@@ -606,6 +632,18 @@ def test_verify_law_its_backend_skips_exits_2(z_files, capsys, law, group, reaso
     code, out, err = run_cli(capsys, "verify", "--law", law, "--group", group, "--a-file", z_files[0])
     assert (code, out) == (2, "")
     assert err == f"error: law {law} does not apply to {group}: {reason}\n"
+
+
+@pytest.mark.parametrize("law, flags, message", [
+    ("kempermann", (), "law kempermann requires --b-file"),
+    ("equality", ("--max-size", "1"), "empty size range"),
+    ("main_theorem", ("--b-file", "{b}", "--k", "0"), "the theorem is stated for k >= 1"),
+])
+def test_verify_usage_error_exits_2(z_files, capsys, law, flags, message):
+    a, b = z_files
+    code, out, err = run_cli(capsys, "verify", "--law", law, "--group", "zd:1", "--a-file", a,
+                             *(flag.format(b=b) for flag in flags))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_3k4_with_exponents_past_the_divisor_cap(tmp_path, capsys):

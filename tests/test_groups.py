@@ -143,6 +143,13 @@ def test_power_examples(z2, klein, any_backend):
     assert (any_backend.generators[0] ** 0).is_identity()
 
 
+@pytest.mark.parametrize("exponent", [0.5, 2.5, 2.0, True, "2", None])
+def test_power_by_a_non_integer_is_a_usage_error(any_backend, exponent):
+    # klein's pow_key would give u ** 0.5 the key (0.5, 0), which is no normal form
+    with pytest.raises(UsageError, match="an exponent must be an integer, got "):
+        any_backend.generators[0] ** exponent
+
+
 def test_power_matches_iterated_multiply(any_backend):
     rng = random.Random(5)
     ball = any_backend.ball_keys(3)
@@ -465,7 +472,7 @@ def takes_grid(backend, A, B):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(data=st.data(), spec=st.sampled_from(["zd:1", "zd:2", "zd:3", "klein"]))
 def test_grid_sized_products_match_mul_key(spec, data):
-    # |A||B| >= 144 passes GRID_MIN_PAIRS, so the box alone picks the path
+    # at least 144 pairs, where dense draws take the grid and spread-out ones the set path
     backend = backend_from_spec(spec)
     A = data.draw(st.lists(element_keys(backend), min_size=12, max_size=19, unique=True))
     B = data.draw(st.lists(element_keys(backend), min_size=12, max_size=19, unique=True))
@@ -486,6 +493,12 @@ KLEIN_RIGHT = [(c, d) for c in (-3, -1, 2) for d in range(-2, 2)]
     # negative odd u-exponents on both sides, so both of B's parts are used
     ("klein", KLEIN_LEFT, KLEIN_RIGHT),
     ("klein", [(c, d) for c in (-5, -3, -1) for d in (-2, 0, 1, 3)], KLEIN_RIGHT + [(-7, 5), (-9, 0)]),
+    # 1x1 and 3x5 products take the grid too; each 3x5 B holds both u-parities, and
+    # each klein 1x1 row one of each, so that B's two parts are used across both orders
+    ("zd:2", [(2, -1)], [(-3, 4)]),
+    ("zd:2", [(0, 0), (1, 2), (-1, 1)], [(0, 1), (1, 0), (2, -1), (-3, 2), (1, 1)]),
+    ("klein", [(2, 3)], [(-1, 1)]),
+    ("klein", [(0, 0), (2, 2), (-2, 1)], [(0, 1), (1, 0), (2, -1), (-3, 2), (1, 1)]),
 ])
 def test_dense_products_take_the_grid(spec, A, B):
     backend = backend_from_spec(spec)
@@ -506,9 +519,8 @@ ORIGIN_BLOCK = {"zd:1": [(x,) for x in range(1, 13)], "zd:2": [(x, y) for x in r
 def test_sparse_products_take_the_set_path(spec, sparse):
     backend = backend_from_spec(spec)
     assert_products_match_mul_key(backend, sparse, sparse)
-    # with a block at the origin there are pairs enough for the grid, but the box is too big
+    # a block at the origin adds pairs, but the box is still too big
     A = sparse + ORIGIN_BLOCK[spec]
-    assert len(A) ** 2 >= setops.GRID_MIN_PAIRS
     assert not takes_grid(backend, A, A)
     assert_products_match_mul_key(backend, A, A)
 
@@ -525,22 +537,10 @@ def test_grid_size_rule_boundary(spec, A, B, top):
     """The grid is taken exactly when translates * bits <= GRID_BITS_PER_PAIR |A||B|."""
     backend = backend_from_spec(spec)
     t = top(setops.GRID_BITS_PER_PAIR)
-    assert len(A) * len(B(t)) >= setops.GRID_MIN_PAIRS
     assert takes_grid(backend, A, B(t))
     assert not takes_grid(backend, A, B(t + 1))
     assert_products_match_mul_key(backend, A, B(t))
     assert_products_match_mul_key(backend, A, B(t + 1))
-
-
-@pytest.mark.parametrize("spec", ["zd:1", "klein"])
-def test_grid_pair_count_boundary(spec):
-    backend = backend_from_spec(spec)
-    line = [(0,) * (len(backend.identity_key) - 1) + (y,) for y in range(setops.GRID_MIN_PAIRS)]
-    one = [backend.identity_key]
-    assert takes_grid(backend, line, one)
-    assert not takes_grid(backend, line[1:], one)
-    assert_products_match_mul_key(backend, line, one)
-    assert_products_match_mul_key(backend, line[1:], one)
 
 
 # -- parsing and printing -------------------------------------------------------

@@ -67,6 +67,30 @@ def bounded_hull_oracle(A, search_radius=3, power_bound=8):
     return False
 
 
+# -- membership ----------------------------------------------------------------
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(["zd:1", "zd:2", "klein", "heis", "free:2"]))
+def test_membership_and_subsets_match_python_sets(spec, data):
+    # members come from the radius-2 ball and probes from the radius-3 ball, so
+    # some probes sort before every member, some between two and some after all
+    backend = backend_from_spec(spec)
+    pool = backend.ball_keys(2)
+    S_keys = data.draw(st.sets(st.sampled_from(pool), max_size=15))
+    T_keys = data.draw(st.sets(st.sampled_from(pool), max_size=15))
+    if data.draw(st.booleans()):
+        T_keys |= S_keys
+    S, T = FiniteSubset.from_keys(backend, S_keys), FiniteSubset.from_keys(backend, T_keys)
+    for key in backend.ball_keys(3):
+        assert S.contains_key(key) == (key in S_keys)
+        assert (backend.element(key) in S) == (key in S_keys)
+    assert S.intersection(T).keys == tuple(sorted(S_keys & T_keys))
+    assert S.is_subset(T) == (S_keys <= T_keys)
+    assert T.is_subset(S) == (T_keys <= S_keys)
+    assert backend.identity_key not in S and 0 not in S
+
+
 # -- product sets and deficiency ----------------------------------------------
 
 
