@@ -40,7 +40,10 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class GroupElement:
-    """Immutable element of one backend, identified by its normal form."""
+    """Immutable element of one backend, identified by its normal form.
+
+    The constructor trusts its key, as the package computed it; backend.element checks a raw key.
+    """
 
     __slots__ = ("backend", "key")
 
@@ -194,8 +197,13 @@ class GroupBackend:
     def check_key(self, key: tuple) -> None:
         """Reject keys that are not normal forms of this backend."""
         arity = len(self.identity_key)
-        if not (isinstance(key, tuple) and len(key) == arity and all(isinstance(x, int) for x in key)):
+        if not (isinstance(key, tuple) and len(key) == arity and all(map(_is_int, key))):
             raise UsageError(f"{key!r} is not a {self.spec} normal form")
+
+    def check_element(self, g: GroupElement) -> None:
+        """Reject anything that is not an element of this backend."""
+        if not isinstance(g, GroupElement) or g.backend != self:
+            raise UsageError(f"element does not belong to backend {self.spec}")
 
     # -- wrapped element API --------------------------------------------
 
@@ -208,6 +216,8 @@ class GroupBackend:
         return [GroupElement(self, k) for k in self.generator_keys()]
 
     def element(self, key: tuple) -> GroupElement:
+        """The element with this key; a key that is not a normal form is a UsageError."""
+        self.check_key(key)
         return GroupElement(self, key)
 
     def parse(self, text: str) -> GroupElement:
@@ -215,7 +225,7 @@ class GroupBackend:
 
     def primitive_root(self, g: GroupElement) -> tuple[GroupElement, int]:
         """Write g = root**exponent with the exponent maximal; g must not be 1."""
-        self._check_owned(g)
+        self.check_element(g)
         if g.key == self.identity_key:
             raise DomainError("the identity has no primitive root")
         root, exponent = self.primitive_root_key(g.key)
@@ -223,8 +233,8 @@ class GroupBackend:
 
     def in_cyclic(self, g: GroupElement, h: GroupElement) -> Optional[int]:
         """Return k with h**k == g if one exists, else None; h = 1 needs g = 1."""
-        self._check_owned(g)
-        self._check_owned(h)
+        self.check_element(g)
+        self.check_element(h)
         if h.key == self.identity_key:
             if g.key == self.identity_key:
                 return 0
@@ -267,10 +277,6 @@ class GroupBackend:
         return FiniteSubset._from_keys(self, self.ball_keys(radius))
 
     # -- plumbing ---------------------------------------------------------
-
-    def _check_owned(self, g: GroupElement) -> None:
-        if not isinstance(g, GroupElement) or g.backend != self:
-            raise UsageError(f"element does not belong to backend {self.spec}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupBackend) and other.spec == self.spec
@@ -423,7 +429,7 @@ class FreeBackend(GroupBackend):
 
     def check_key(self, key):
         ok = isinstance(key, tuple) and all(
-            isinstance(x, int) and 1 <= abs(x) <= self.rank for x in key
+            _is_int(x) and 1 <= abs(x) <= self.rank for x in key
         )
         if ok:
             ok = all(key[i] != -key[i + 1] for i in range(len(key) - 1))

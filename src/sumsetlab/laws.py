@@ -195,7 +195,7 @@ def _translate_ratios(S: FiniteSubset) -> tuple[frozenset, frozenset]:
     pair (A, B) is a translated common-ratio pair exactly when A's left set
     meets B's right set.
     """
-    x_inv = S.backend.element(S.keys[0]).inverse()
+    x_inv = next(iter(S)).inverse()
     left, right = S.translate_left(x_inv), S.translate_right(x_inv)
     return (frozenset(r.key for r in progression_ratios(left)),
             frozenset(r.key for r in progression_ratios(right)))

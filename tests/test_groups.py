@@ -658,6 +658,40 @@ def test_check_key_rejects_malformed(z2, free2, klein, heis):
     assert len(FiniteSubset.from_keys(free2, [(1, 2, 1)])) == 1
 
 
+# per backend: a float, a bool and a str coordinate, the wrong arity (a free
+# word has none, so free:2 has an unreduced word and a letter past the rank
+# in its place) and a key that is not a tuple
+RAW_KEYS_THAT_ARE_NO_NORMAL_FORM = [
+    ("zd:2", (0.5, 0)), ("zd:2", (True, 0)), ("zd:2", ("0", 0)), ("zd:2", (0, 0, 0)), ("zd:2", [0, 0]),
+    ("klein", (0.5, 0)), ("klein", (0, True)), ("klein", ("0", 0)), ("klein", (0,)), ("klein", [0, 0]),
+    ("heis", (0, 0, 0.5)), ("heis", (True, 0, 0)), ("heis", (0, "0", 0)), ("heis", (0, 0)), ("heis", [0, 0, 0]),
+    ("free:2", (0.5,)), ("free:2", (True,)), ("free:2", ("a",)), ("free:2", (1, -1)), ("free:2", (3,)), ("free:2", [1]),
+]
+
+
+@pytest.mark.parametrize("spec, key", RAW_KEYS_THAT_ARE_NO_NORMAL_FORM, ids=repr)
+def test_element_refuses_a_key_that_is_no_normal_form(spec, key):
+    with pytest.raises(UsageError, match="^.* is not a "):
+        backend_from_spec(spec).element(key)
+
+
+@pytest.mark.parametrize("spec, key", RAW_KEYS_THAT_ARE_NO_NORMAL_FORM, ids=repr)
+def test_from_keys_refuses_a_key_that_is_no_normal_form(spec, key):
+    backend = backend_from_spec(spec)
+    with pytest.raises(UsageError, match="^.* is not a "):
+        FiniteSubset.from_keys(backend, [backend.identity_key, key])
+
+
+def test_primitive_root_and_in_cyclic_refuse_an_element_of_another_backend(z2, klein):
+    g, h = klein.generators
+    with pytest.raises(UsageError, match="^element does not belong to backend zd:2$"):
+        z2.primitive_root(g)
+    with pytest.raises(UsageError, match="^element does not belong to backend zd:2$"):
+        z2.in_cyclic(g, z2.generators[0])
+    with pytest.raises(UsageError, match="^element does not belong to backend zd:2$"):
+        z2.in_cyclic(z2.generators[0], h)
+
+
 def test_heisenberg_cross_term(heis):
     x, y = heis.generators
     assert (x * y).key == (1, 1, 1)

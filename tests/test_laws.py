@@ -43,7 +43,7 @@ from sumsetlab.reports import (
     VERDICT_VIOLATED,
     VERDICTS,
 )
-from sumsetlab.setops import FiniteSubset
+from sumsetlab.setops import FiniteSubset, deficiency, product_size
 
 
 def zset(z1, values):
@@ -516,6 +516,27 @@ def test_c_lower_witnesses():
         w = report.witness
         assert w["deficiency"] == 2 * w["m"] - 3 <= k
         assert report.verdict == VERDICT_HOLDS
+
+
+def triangle_witness(spec, m, shear):
+    """A = {(0,0), (1,0), (0,1)} and the triangle {(i, shear(i) + j) : 0 <= i < m, 0 <= j < m - i}."""
+    backend = backend_from_spec(spec)
+    A = FiniteSubset.from_keys(backend, [(0, 0), (1, 0), (0, 1)])
+    return A, FiniteSubset.from_keys(backend, [(i, shear(i) + j) for i in range(m) for j in range(m - i)])
+
+
+@pytest.mark.parametrize("spec, shear", [("zd:2", lambda i: 0), ("klein", lambda i: (i + 1) // 2)])
+def test_triangle_of_side_k_plus_2_has_deficiency_k(spec, shear):
+    # beyond the grid check_c_lower builds, |B| = (k+2)(k+3)/2 stays at deficiency k
+    for k in range(1, 11):
+        A, T = triangle_witness(spec, k + 2, shear)
+        assert len(T) == (k + 2) * (k + 3) // 2
+        assert deficiency(A, T) == k
+
+
+def test_unsheared_klein_triangle_is_worse():
+    A, T = triangle_witness("klein", 6, lambda i: 0)
+    assert product_size(A, T) - len(T) == 10
 
 
 # -- corollary for A = B ----------------------------------------------------------------

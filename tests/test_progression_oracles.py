@@ -107,9 +107,9 @@ def oracle_min_cover(A):
 def oracle_common_ratio_pair(A, B):
     """True when some x^-1 A and some B y^-1 are progressions with a common ratio."""
     ratios_a = set()
-    for x in A.elements():
+    for x in A:
         ratios_a.update(oracle_ratios(A.translate_left(x.inverse())))
-    return any(ratios_a.intersection(oracle_ratios(B.translate_right(y.inverse()))) for y in B.elements())
+    return any(ratios_a.intersection(oracle_ratios(B.translate_right(y.inverse()))) for y in B)
 
 
 # -- strategies ----------------------------------------------------------------

@@ -209,10 +209,26 @@ def test_deficiency_translation_invariance(any_backend):
 def test_translate_by_a_foreign_element_is_usage_error(spec, foreign):
     A = FiniteSubset.from_keys(backend_from_spec(spec), [(0, 2), (1, 2)])
     g = backend_from_spec(foreign).generators[0]
-    with pytest.raises(UsageError, match="element does not belong to the set's backend"):
+    with pytest.raises(UsageError, match=f"^element does not belong to backend {spec}$"):
         A.translate_left(g)
-    with pytest.raises(UsageError, match="element does not belong to the set's backend"):
+    with pytest.raises(UsageError, match=f"^element does not belong to backend {spec}$"):
         A.translate_right(g)
+
+
+@pytest.mark.parametrize("spec, foreign", [("zd:2", "zd:3"), ("klein", "zd:2"), ("heis", "klein"), ("free:2", "free:3")])
+def test_an_element_of_another_backend_is_usage_error(spec, foreign):
+    backend = backend_from_spec(spec)
+    U = FiniteSubset(backend, backend.generators)
+    message = f"^element does not belong to backend {spec}$"
+    for g in (backend_from_spec(foreign).generators[0], backend.identity_key):
+        with pytest.raises(UsageError, match=message):
+            FiniteSubset(backend, [backend.identity, g])
+        with pytest.raises(UsageError, match=message):
+            U.translate_left(g)
+        with pytest.raises(UsageError, match=message):
+            U.translate_right(g)
+        with pytest.raises(UsageError, match=message):
+            max_progression_partition(U, g)
 
 
 def test_kempermann_small_fuzz(any_backend):
@@ -509,7 +525,7 @@ def test_cyclic_hull_witness_is_sound(any_backend):
         if witness is None:
             continue
         g, h = witness
-        for a in A.elements():
+        for a in A:
             assert any_backend.in_cyclic(g.inverse() * a, h) is not None
 
 
