@@ -18,7 +18,6 @@ from .groups import (
     backend_from_spec,
 )
 from .setops import (
-    DimensionReport,
     FiniteSubset,
     ProgressionDescriptor,
     cyclic_hull_contains,

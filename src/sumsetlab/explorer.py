@@ -23,6 +23,7 @@ import random
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ResourceLimitError, UsageError
@@ -155,14 +156,17 @@ _JSON_STRING_OR_INT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])-?(\d+)(?![\w.]
 
 
 def _json_loads(text: str, where: str, line: int = 1):
-    """json.loads(text); malformed JSON, or an integer past Python's digit limit, is a ParseError.
+    """json.loads(text); malformed or too deeply nested JSON, or an integer past Python's digit limit, is a ParseError.
 
-    Lines count from `line`. json gives no position for the digit limit: it is the first such literal.
+    Lines count from `line`. json gives no position for the nesting, reported at `line`, nor for
+    the digit limit: it is the first such literal.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: {exc.msg}", line + exc.lineno - 1, exc.colno) from None
+    except RecursionError:
+        raise ParseError(f"{where}: JSON nested too deeply", line) from None
     except ValueError:
         m = next(m for m in _JSON_STRING_OR_INT.finditer(text) if len(m[1] or "") > sys.get_int_max_str_digits())
         pos = m.start()
@@ -406,27 +410,34 @@ def _hunt_field(grid: dict, name: str, default, least: int):
     return value
 
 
-def _universe_keys(backend: GroupBackend, grid: dict) -> list[tuple]:
+def _universe_keys(backend: GroupBackend, grid: dict, fits: Callable[[int], bool], sets: str) -> list[tuple]:
+    """The grid's universe, 0..span on zd:1 or the radius ball, built once fits(its size) holds.
+
+    Otherwise a ResourceLimitError says the universe gives more than `sets`.
+    """
     if "span" in grid:
         span = _hunt_field(grid, "span", 0, 0)
         if not isinstance(backend, LatticeBackend) or backend.dim != 1:
             raise UsageError("span universes are defined for zd:1")
-        return [(i,) for i in range(span + 1)]
-    return list(backend.ball_keys(_hunt_field(grid, "radius", 3, 0)))
+        size = span + 1
+    else:
+        ball = backend.ball_keys(_hunt_field(grid, "radius", 3, 0))
+        size = len(ball)
+    if not fits(size):
+        raise ResourceLimitError(f"the universe gives more than {sets}")
+    return [(i,) for i in range(size)] if "span" in grid else list(ball)
 
 
 def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
     """The atom_conjecture law's findings over translation-normalized sets C and n <= n_max."""
     backend = backend_from_spec(grid.get("backend", "zd:1"))
-    universe = _universe_keys(backend, grid)
+    # C is the identity with any subset of the size - 1 others: 2^(size - 1) <= cap iff size - 1 < cap.bit_length()
+    universe = _universe_keys(backend, grid, lambda size: size - 1 < ATOM_HUNT_SUBSET_CAP.bit_length(),
+                              f"{ATOM_HUNT_SUBSET_CAP} sets C, the atom hunt cap")
     n_max = _hunt_field(grid, "n_max", 3, 1)
     window = backend.ball(_hunt_field(grid, "x_radius", 4, 0))
     id_key = backend.identity_key
     others = [k for k in universe if k != id_key]
-    if 1 << len(others) > ATOM_HUNT_SUBSET_CAP:
-        raise ResourceLimitError(
-            f"{1 << len(others)} sets C exceed the atom hunt cap {ATOM_HUNT_SUBSET_CAP}"
-        )
     law = LAWS["atom_conjecture"]
     findings: list[LawReport] = []
     for mask in range(1 << len(others)):
@@ -440,11 +451,10 @@ def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
 def _hunt_3k4(grid: dict) -> list[LawReport]:
     """Exhaustive small-square progression-cover scan over a universe."""
     backend = backend_from_spec(grid.get("backend", "zd:1"))
-    universe = FiniteSubset._from_keys(backend, tuple(_universe_keys(backend, grid)))
     sizes = _hunt_field(grid, "sizes", (4, 5), 1)
-    total = sum(math.comb(len(universe), size) for size in sizes)
-    if total > HUNT_3K4_SET_CAP:
-        raise ResourceLimitError(f"{total} sets A exceed the 3k-4 hunt cap {HUNT_3K4_SET_CAP}")
+    keys = _universe_keys(backend, grid, lambda size: sum(math.comb(size, k) for k in sizes) <= HUNT_3K4_SET_CAP,
+                          f"{HUNT_3K4_SET_CAP} sets A, the 3k-4 hunt cap")
+    universe = FiniteSubset._from_keys(backend, tuple(keys))
     table = ProductTable(universe, universe)
     findings: list[LawReport] = []
     for size in sizes:

@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError, UnsupportedOperationError, UsageError
-from .groups import GroupBackend, KleinBackend, LatticeBackend, backend_from_spec
+from .groups import GroupBackend, KleinBackend, LatticeBackend, _format_int, backend_from_spec
 from .isoperimetry import CERTIFIED_EXACT, IsoInstance, kappa_restricted
 from .reports import (
     LawReport,
@@ -43,7 +43,6 @@ from .setops import (
     progression_ratios,
 )
 
-GG_GUARD = 1e-9
 UNIQUE_PRODUCT_SQUARE_THRESHOLD = 216  # 6^3
 EQUALITY_PAIR_CAP = 500_000
 ISO_C_MAX_SIZE = 6  # largest C an atom-law campaign draws
@@ -90,7 +89,7 @@ def check_hls(A: FiniteSubset, B: FiniteSubset) -> LawReport:
 
 def check_freiman_dim(A: FiniteSubset) -> LawReport:
     """|A^2| >= (d+1)|A| - C(d+1, 2) with d the dimension of A (lattice only)."""
-    d = dimension(A).rank
+    d = dimension(A)
     sq = product_size(A, A)
     rhs = (d + 1) * len(A) - _binom2(d + 1)
     slack = sq - rhs
@@ -105,7 +104,7 @@ def check_ruzsa_dim(A: FiniteSubset, B: FiniteSubset) -> LawReport:
     if len(A) < len(B):
         return _hyp("ruzsa_dim", witness, f"|A| = {len(A)} < |B| = {len(B)}")
     AB = product_set(A, B)
-    d = dimension(AB).rank
+    d = dimension(AB)
     rhs = len(A) + d * len(B) - _binom2(d + 1)
     slack = len(AB) - rhs
     witness.update(dimension=d, product_size=len(AB))
@@ -116,17 +115,18 @@ def check_ruzsa_dim(A: FiniteSubset, B: FiniteSubset) -> LawReport:
 def check_gardner_gronchi(A: FiniteSubset, B: FiniteSubset) -> LawReport:
     """Discrete Brunn-Minkowski lower bound for a d-dimensional smaller set B.
 
-    The right-hand side carries fractional powers, so the comparison is done
-    in floating point with a small guard band rather than exactly.
+    The bound rhs carries fractional powers, so the witness and slack hold
+    floats, but the verdict is exact: |AB| >= rhs iff L >= 0 and
+    L^d >= (|A|-d)^(d-1) (|B|-d), with L = |AB| - |A| - (d-1)|B| + C(d, 2).
     """
     witness = _pair_witness(A, B)
     if len(A) < len(B):
         return _hyp("gardner_gronchi", witness, f"|A| = {len(A)} < |B| = {len(B)}")
     AB = product_set(A, B)
-    d = dimension(AB).rank
+    d = dimension(AB)
     if d < 1:
         return _hyp("gardner_gronchi", witness, "product set is a single point")
-    if dimension(B).rank != d:
+    if dimension(B) != d:
         return _hyp("gardner_gronchi", witness, f"B is not {d}-dimensional")
     rhs = (
         len(A)
@@ -136,7 +136,9 @@ def check_gardner_gronchi(A: FiniteSubset, B: FiniteSubset) -> LawReport:
     )
     slack = len(AB) - rhs
     witness.update(dimension=d, product_size=len(AB), rhs=rhs)
-    verdict = VERDICT_HOLDS if len(AB) >= rhs - GG_GUARD else VERDICT_VIOLATED
+    excess = len(AB) - len(A) - (d - 1) * len(B) + _binom2(d)
+    holds = excess >= 0 and excess ** d >= (len(A) - d) ** (d - 1) * (len(B) - d)
+    verdict = VERDICT_HOLDS if holds else VERDICT_VIOLATED
     return LawReport("gardner_gronchi", verdict, slack, witness)
 
 
@@ -151,13 +153,12 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     lo = max(lo, 2)
     if hi < lo:
         raise UsageError("empty size range")
-    elems = window.keys
-    total_sets = sum(math.comb(len(elems), size) for size in range(lo, hi + 1))
-    if total_sets ** 2 > EQUALITY_PAIR_CAP:
-        raise ResourceLimitError(f"{total_sets ** 2} pairs exceed the enumeration cap")
+    if not _pairs_fit(len(window), lo, hi):
+        raise ResourceLimitError(f"the pairs of sets exceed the enumeration cap {EQUALITY_PAIR_CAP}")
+    top = min(hi, len(window))  # the largest set the window holds
     table = ProductTable(window, window)
-    combos = [combo for size in range(lo, hi + 1)
-              for combo in itertools.combinations(range(len(elems)), size)]
+    combos = [combo for size in range(lo, top + 1)
+              for combo in itertools.combinations(range(len(window)), size)]
     ratios: dict = {}  # only sets in a tight pair need their ratios
 
     def ratios_of(combo: tuple) -> tuple[frozenset, frozenset]:
@@ -170,7 +171,7 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     first_bad = None
     for A in combos:
         # the walk yields every B with |AB| <= |A| + |B| - 1; only equality counts
-        for B, size_ab in table.small_products(A, lo, hi, len(A) - 1):
+        for B, size_ab in table.small_products(A, lo, top, len(A) - 1):
             if size_ab != len(A) + len(B) - 1:
                 continue
             equality_pairs += 1
@@ -186,6 +187,12 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     }
     verdict = VERDICT_HOLDS if violations == 0 else VERDICT_VIOLATED
     return LawReport("equality", verdict, violations, witness)
+
+
+def _pairs_fit(n: int, lo: int, hi: int) -> bool:
+    """Whether the pairs of subsets of an n-element window, sized lo..hi, number at most EQUALITY_PAIR_CAP."""
+    sets = itertools.accumulate(math.comb(n, size) for size in range(lo, min(hi, n) + 1))
+    return all(count * count <= EQUALITY_PAIR_CAP for count in sets)
 
 
 def _translate_ratios(S: FiniteSubset) -> tuple[frozenset, frozenset]:
@@ -217,22 +224,17 @@ def check_3k4(A: FiniteSubset) -> LawReport:
     witness["square_size"] = sq
     if sq > 3 * len(A) - 4:
         return _hyp("3k4", witness, f"|A^2| = {sq} > 3|A| - 4 = {3 * len(A) - 4}")
-    cover = min_progression_cover(A)
-    bound = 2 * len(A) - 3
-    witness["cover_length"] = cover
-    if cover is not None and cover <= bound:
-        return LawReport("3k4", VERDICT_HOLDS, cover - bound, witness)
-    slack = cover - bound if cover is not None else None
     bad = VERDICT_VIOLATED if isinstance(A.backend, LatticeBackend) else VERDICT_FINDING
-    return LawReport("3k4", bad, slack, witness, "small square without a short progression cover")
+    return _cover_verdict("3k4", A, 2 * len(A) - 3, witness, bad, "small square without a short progression cover")
 
 
 def check_corollary_AB(A: FiniteSubset) -> LawReport:
     """Nearly minimal squares force a short progression cover (unique-product form).
 
     With n = |A^2| - 2|A|, the hypotheses are |A| >= 6^3 and
-    0 <= n <= 2^(-5/3) |A|^(1/3) - 3/2; the conclusion is a covering
-    progression of length at most |A| + n + 1.
+    0 <= n <= 2^(-5/3) |A|^(1/3) - 3/2, decided in integers as
+    4(2n+3)^3 <= |A|; the conclusion is a covering progression of length
+    at most |A| + n + 1. The witness keeps the float bound as n_bound.
     """
     witness = {"A": subset_payload(A)}
     if not A.backend.unique_product:
@@ -243,27 +245,33 @@ def check_corollary_AB(A: FiniteSubset) -> LawReport:
     n = sq - 2 * len(A)
     bound = 2 ** (-5 / 3) * len(A) ** (1 / 3) - 1.5
     witness.update(square_size=sq, n=n, n_bound=bound)
-    if n < 0 or n > bound + GG_GUARD:
+    if n < 0 or 4 * (2 * n + 3) ** 3 > len(A):
         return _hyp("corollary_ab", witness, f"n = {n} outside [0, {bound:.4f}]")
+    return _cover_verdict("corollary_ab", A, len(A) + n + 1, witness)
+
+
+def _cover_verdict(law: str, A: FiniteSubset, bound: int, witness: dict,
+                   bad: str = VERDICT_VIOLATED, detail: str = "") -> LawReport:
+    """Holds when a progression of at most `bound` terms covers A; the slack is the cover length minus bound."""
     cover = min_progression_cover(A)
-    target = len(A) + n + 1
     witness["cover_length"] = cover
-    if cover is not None and cover <= target:
-        return LawReport("corollary_ab", VERDICT_HOLDS, cover - target, witness)
-    slack = cover - target if cover is not None else None
-    return LawReport("corollary_ab", VERDICT_VIOLATED, slack, witness)
+    slack = None if cover is None else cover - bound
+    if slack is not None and slack <= 0:
+        return LawReport(law, VERDICT_HOLDS, slack, witness)
+    return LawReport(law, bad, slack, witness, detail)
 
 
 # -- atom lemmas -----------------------------------------------------------
 
 
-def _atom_witness(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> dict:
-    return {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": k}
+def _atom_witness(U: FiniteSubset, C: FiniteSubset, n: int) -> dict:
+    # two_atom and n_atom write the k they derive over this null
+    return {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": None}
 
 
-def check_atom_left(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+def check_atom_left(U: FiniteSubset, C: FiniteSubset, n: int) -> LawReport:
     """|U meet gU| <= n - 1 for every g != 1."""
-    witness = _atom_witness(U, C, n, k)
+    witness = _atom_witness(U, C, n)
     worst, worst_g = _worst_overlap(U, left=True)
     slack = worst - (n - 1)
     witness["worst_g"] = U.backend.format_key(worst_g) if worst_g else None
@@ -272,9 +280,9 @@ def check_atom_left(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> 
     return LawReport("atom_left", verdict, slack, witness)
 
 
-def check_atom_right(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+def check_atom_right(U: FiniteSubset, C: FiniteSubset, n: int) -> LawReport:
     """(n-1)|U meet Ug| <= (n-2)|U| + 1 for every g != 1, when n >= 2."""
-    witness = _atom_witness(U, C, n, k)
+    witness = _atom_witness(U, C, n)
     if n < 2:
         return _hyp("atom_right", witness, "requires n >= 2")
     worst, worst_g = _worst_overlap(U, left=False)
@@ -284,9 +292,9 @@ def check_atom_right(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) ->
     return LawReport("atom_right", verdict, slack, witness)
 
 
-def check_atom_nonunique(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+def check_atom_nonunique(U: FiniteSubset, C: FiniteSubset, n: int) -> LawReport:
     """An atom larger than n has every element of UC written at least twice as uc."""
-    witness = _atom_witness(U, C, n, k)
+    witness = _atom_witness(U, C, n)
     if len(U) <= n:
         return _hyp("atom_nonunique", witness, f"|U| = {len(U)} is not larger than n = {n}")
     mul = U.backend.mul_key
@@ -297,9 +305,9 @@ def check_atom_nonunique(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None
     return LawReport("atom_nonunique", verdict, slack, witness)
 
 
-def check_two_atom_rough(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+def check_two_atom_rough(U: FiniteSubset, C: FiniteSubset, n: int) -> LawReport:
     """|U| <= |C| - 1 for a 2-atom U of a set C with |C| >= 3."""
-    witness = _atom_witness(U, C, n, k)
+    witness = _atom_witness(U, C, n)
     if n != 2:
         return _hyp("two_atom_rough", witness, "requires n = 2")
     if len(C) < 3:
@@ -309,41 +317,38 @@ def check_two_atom_rough(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None
     return LawReport("two_atom_rough", verdict, slack, witness)
 
 
-def check_two_atom(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
-    """|U| <= k + 3 for a 2-atom U of C with |UC| <= |U| + |C| + k."""
-    witness = _atom_witness(U, C, n, k)
+def check_two_atom(U: FiniteSubset, C: FiniteSubset, n: int) -> LawReport:
+    """|U| <= k + 3 for a 2-atom U of C, at the least k with |UC| <= |U| + |C| + k."""
+    witness = _atom_witness(U, C, n)
     if n != 2:
         return _hyp("two_atom", witness, "requires n = 2")
-    return _atom_size_bound("two_atom", U, C, k, witness, lambda kk: kk + 3)
+    return _atom_size_bound("two_atom", U, C, witness, lambda k: k + 3)
 
 
-def check_n_atom(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
-    """|U| <= n(2k + 3) for an n-atom U of C with |UC| <= |U| + |C| + k, n >= 3."""
-    witness = _atom_witness(U, C, n, k)
+def check_n_atom(U: FiniteSubset, C: FiniteSubset, n: int) -> LawReport:
+    """|U| <= n(2k + 3) for an n-atom U of C, n >= 3, at the least k with |UC| <= |U| + |C| + k."""
+    witness = _atom_witness(U, C, n)
     if n < 3:
         return _hyp("n_atom", witness, "requires n >= 3")
-    return _atom_size_bound("n_atom", U, C, k, witness, lambda kk: n * (2 * kk + 3))
+    return _atom_size_bound("n_atom", U, C, witness, lambda k: n * (2 * k + 3))
 
 
-def _atom_size_bound(law: str, U: FiniteSubset, C: FiniteSubset, k: int | None,
+def _atom_size_bound(law: str, U: FiniteSubset, C: FiniteSubset,
                      witness: dict, bound: Callable[[int], int]) -> LawReport:
-    """|U| <= bound(k) once |C| >= 3 and |UC| <= |U| + |C| + k; k defaults to |UC| - |U| - |C|."""
+    """|U| <= bound(k) once |C| >= 3, at k = |UC| - |U| - |C|: the least k, whose bound is the strongest."""
     if len(C) < 3:
         return _hyp(law, witness, f"|C| = {len(C)} < 3")
-    uc = product_size(U, C)
-    kk = k if k is not None else uc - len(U) - len(C)
-    witness["k"] = kk
-    if uc > len(U) + len(C) + kk:
-        return _hyp(law, witness, f"|UC| exceeds |U| + |C| + k with k = {kk}")
-    slack = len(U) - bound(kk)
+    k = product_size(U, C) - len(U) - len(C)
+    witness["k"] = k
+    slack = len(U) - bound(k)
     verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
     return LawReport(law, verdict, slack, witness)
 
 
-def check_atom_conjecture(U: FiniteSubset, C: FiniteSubset, n: int, k: int | None) -> LawReport:
+def check_atom_conjecture(U: FiniteSubset, C: FiniteSubset, n: int) -> LawReport:
     """Conjecture: every n-atom has exactly n elements."""
     slack = len(U) - n
-    witness = _atom_witness(U, C, n, k)
+    witness = _atom_witness(U, C, n)
     if slack < 0:
         return _hyp("atom_conjecture", witness, f"|U| = {len(U)} < n = {n}")
     if slack == 0:
@@ -400,7 +405,7 @@ def check_uvk(B: FiniteSubset, d: int) -> LawReport:
         return _hyp("uvk", witness, f"d = {d} < 3")
     threshold = 4 * d ** 3
     if len(B) <= threshold:
-        return _hyp("uvk", witness, f"|B| = {len(B)} <= 4 d^3 = {threshold}")
+        return _hyp("uvk", witness, f"|B| = {len(B)} <= 4 d^3 = {_format_int(threshold)}")
     ab = product_size(A, B)
     slack = ab - (len(B) + d)
     witness["product_size"] = ab
@@ -434,11 +439,7 @@ def check_main_theorem(A: FiniteSubset, B: FiniteSubset, k: int, use_general_bou
         scale_note = ""
     witness["gate"] = gate
     if len(B) <= gate:
-        return _hyp(
-            "main_theorem",
-            witness,
-            f"{scale_note}|B| = {len(B)} <= {gate_name} = {gate}",
-        )
+        return _hyp("main_theorem", witness, f"{scale_note}|B| = {len(B)} <= {gate_name} = {_format_int(gate)}")
     ab = product_size(A, B)
     slack = ab - (len(A) + len(B) + k)
     witness["product_size"] = ab
@@ -453,7 +454,7 @@ def _check_family_products(family: str, m: int, products: int) -> None:
     """Raise before building a family whose product needs more than PRODUCT_TABLE_CAP multiplications."""
     if products > PRODUCT_TABLE_CAP:
         raise ResourceLimitError(
-            f"the Klein {family} family at m = {m} needs {products} products, above the cap {PRODUCT_TABLE_CAP}"
+            f"the Klein {family} family at m = {m} needs more than {PRODUCT_TABLE_CAP} products, the cap"
         )
 
 
@@ -551,8 +552,8 @@ class Law:
     # (draw, grid params) -> the drawn inputs or a skip detail, where a
     # campaign draws other than one uniform subset per named set
     sample: Callable | None = None
-    # (U, C, n, k) -> the report on one atom U, for the atom lemmas only
-    lemma: Callable[[FiniteSubset, FiniteSubset, int, int | None], LawReport] | None = None
+    # (U, C, n) -> the report on one atom U, for the atom lemmas only
+    lemma: Callable[[FiniteSubset, FiniteSubset, int], LawReport] | None = None
 
 
 def _lattice_only(backend: GroupBackend) -> str | None:
@@ -582,8 +583,7 @@ def _sample_equality(draw, params: dict) -> dict | str:
         return f"size range [{draw.lo}, {draw.hi}] is below the minimum set size 2"
     window = draw.backend.ball(min(draw.radius, 2))
     for max_size in range(min(draw.hi, 3), 1, -1):
-        total = sum(math.comb(len(window), s) for s in range(2, max_size + 1))
-        if total * total <= EQUALITY_PAIR_CAP:
+        if _pairs_fit(len(window), 2, max_size):
             return {"window": window, "sizes": (2, max_size)}
     return "window too large for exhaustive pair enumeration"
 
@@ -606,7 +606,7 @@ def _atom_law(law: str, lemma: Callable, status: str = THEOREM) -> Law:
             detail = f"result certificate is {result.certificate}"
             return [LawReport(law, VERDICT_SKIPPED, None, {"n": n}, detail)]
         check = LAWS[law].lemma
-        return [check(U, C, n, None) for U in result.atoms]
+        return [check(U, C, n) for U in result.atoms]
 
     return Law(run, ("C", "window"), ("n",), status, sample=_sample_iso_instance, lemma=lemma)
 
@@ -656,7 +656,7 @@ def replay(report: LawReport) -> LawReport:
     if law is None:
         raise UsageError(f"law {report.law!r} does not support replay")
     if law.lemma is not None:
-        return law.lemma(subset_from_payload(w["U"]), subset_from_payload(w["C"]), w["n"], w.get("k"))
+        return law.lemma(subset_from_payload(w["U"]), subset_from_payload(w["C"]), w["n"])
     inputs = {name: subset_from_payload(w[name]) for name in law.sets}
     inputs.update((p, w[p]) for p in law.params if p in w)
     return law.run(**inputs)[0]

@@ -354,14 +354,6 @@ class ProgressionDescriptor:
         return FiniteSubset.from_keys(backend, keys)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """Rank of the difference lattice of a set, with a witness basis."""
-
-    rank: int
-    basis: tuple[GroupElement, ...]
-
-
 def _hull_roots(A: FiniteSubset) -> Iterator[tuple[tuple, list[int]]]:
     """(h, exps) for each cyclic group <h> that holds every a0^-1 a, a0 = A.keys[0].
 
@@ -447,19 +439,18 @@ def min_progression_cover(A: FiniteSubset) -> Optional[int]:
     return min((desc.length for desc in _covers(A)), default=None)
 
 
-def dimension(A: FiniteSubset) -> DimensionReport:
-    """Rank over Q of the lattice spanned by differences a - a0, with a basis."""
+def dimension(A: FiniteSubset) -> int:
+    """Rank over Q of the lattice spanned by differences a - a0."""
     if not isinstance(A.backend, LatticeBackend):
         raise UnsupportedOperationError("dimension is defined for lattice backends only")
     if len(A) == 0:
         raise DomainError("dimension of the empty set is undefined")
     # fraction-free elimination: each reduced vector is a nonzero multiple of
-    # the one rational elimination gives, so pivots, rank and witness agree
+    # the one rational elimination gives, so pivots and rank agree
     a0 = A.keys[0]
     full_rank = A.backend.dim
     echelon: list[list[int]] = []
     pivots: list[int] = []
-    witness: list[GroupElement] = []
     for key in A.keys[1:]:
         vec = [x - y for x, y in zip(key, a0)]
         for row, pivot in zip(echelon, pivots):
@@ -472,10 +463,9 @@ def dimension(A: FiniteSubset) -> DimensionReport:
             g = gcd(*vec)
             echelon.append([x // g for x in vec])
             pivots.append(pivot)
-            witness.append(GroupElement(A.backend, tuple(x - y for x, y in zip(key, a0))))
             if len(echelon) == full_rank:
                 break  # no later key can raise the rank
-    return DimensionReport(len(echelon), tuple(witness))
+    return len(echelon)
 
 
 def cyclic_hull_contains(A: FiniteSubset) -> Optional[tuple[GroupElement, GroupElement]]:

@@ -171,7 +171,7 @@ def test_criterion_07_atom_lemma_suite():
         if result.certificate != CERTIFIED_EXACT:
             continue
         certified += 1
-        for report in (LAWS[law].lemma(U, C, n, None) for U in result.atoms for law in ATOM_LAWS):
+        for report in (LAWS[law].lemma(U, C, n) for U in result.atoms for law in ATOM_LAWS):
             if report.verdict == VERDICT_VIOLATED:
                 violations.append(report)
             if report.law == "atom_conjecture" and report.verdict == VERDICT_FINDING:

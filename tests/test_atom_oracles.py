@@ -33,11 +33,11 @@ def support_keys(backend, ukeys, left):
     return sorted(keys)
 
 
-def oracle_report(law, U, C, n, k):
+def oracle_report(law, U, C, n):
     """Each |U meet gU|, |U meet Ug| or factorization count recounted from scratch; ties keep the first g."""
     backend = U.backend
     mul, ukeys, ukeyset = backend.mul_key, U.keys, frozenset(U.keys)
-    witness = {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": k}
+    witness = {"U": subset_payload(U), "C": subset_payload(C), "n": n, "k": None}
     if law == "atom_left":
         worst, worst_g = 0, None
         for g in support_keys(backend, ukeys, left=True):
@@ -86,12 +86,10 @@ def oracle_report(law, U, C, n, k):
     if law == "two_atom_rough":
         slack = len(U) - (len(C) - 1)
         return LawReport(law, VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED, slack, witness)
-    kk = k if k is not None else product_size(U, C) - len(U) - len(C)
-    witness["k"] = kk
-    if product_size(U, C) > len(U) + len(C) + kk:
-        detail = f"|UC| exceeds |U| + |C| + k with k = {kk}"
-        return LawReport(law, VERDICT_HYPOTHESIS_NOT_MET, None, witness, detail)
-    slack = len(U) - (kk + 3 if law == "two_atom" else n * (2 * kk + 3))
+    # the least k with |UC| <= |U| + |C| + k
+    k = product_size(U, C) - len(U) - len(C)
+    witness["k"] = k
+    slack = len(U) - (k + 3 if law == "two_atom" else n * (2 * k + 3))
     return LawReport(law, VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED, slack, witness)
 
 
@@ -119,6 +117,5 @@ def test_overlap_laws_match_per_g_recount(spec, data):
     U = data.draw(subsets(backend, 8), label="U")
     C = data.draw(subsets(backend, 5), label="C")
     n = data.draw(st.integers(1, 4), label="n")
-    k = data.draw(st.one_of(st.none(), st.integers(0, 4)), label="k")
     for law in ATOM_LAWS:
-        assert LAWS[law].lemma(U, C, n, k) == oracle_report(law, U, C, n, k)
+        assert LAWS[law].lemma(U, C, n) == oracle_report(law, U, C, n)

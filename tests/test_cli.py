@@ -621,6 +621,42 @@ def test_printing_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys, too_
     assert err == f"error: cannot print an integer of more than {len(nines)} digits\n"
 
 
+@pytest.mark.parametrize("argv, share, message", [
+    # a gate printed in the detail
+    (["verify", "--law", "main_theorem", "--group", "zd:2", "--a-file", "{zd2}", "--b-file", "{zd2}", "--k", "{ones}"],
+     3, "error: cannot print an integer of more than {limit} digits"),
+    (["verify", "--law", "uvk", "--group", "klein", "--b-file", "{klein}", "--d", "{ones}"],
+     3, "error: cannot print an integer of more than {limit} digits"),
+    # a family's product count: the message states the cap instead
+    (["verify", "--law", "klein_union", "--group", "klein", "--m", "{ones}"],
+     2, "error: the Klein union family at m = {ones} needs more than 1048576 products, the cap"),
+    (["example", "--name", "c-lower", "--k", "{ones}"],
+     2, "error: the Klein grid family at m = {half} needs more than 1048576 products, the cap"),
+])
+def test_a_bound_past_the_digit_limit_exits_2(tmp_path, capsys, too_long_int, argv, share, message):
+    # the flag has limit / share + 2 digits and its bound about share times as many
+    limit = len(too_long_int) - 1
+    ones = "1" * (limit // share + 2)
+    zd2, klein = tmp_path / "zd2.txt", tmp_path / "klein.txt"
+    zd2.write_text("(0,0)\n(1,0)\n(0,1)\n")
+    klein.write_text("u\nv\n")
+    code, out, err = run_cli(capsys, *(arg.format(zd2=zd2, klein=klein, ones=ones) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == message.format(limit=limit, ones=ones, half=(int(ones) + 3) // 2) + "\n"
+
+
+@pytest.mark.parametrize("command, flag, where", [
+    ("explore", "--config", "campaign config"),
+    ("report", "--run", "record store"),
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command, flag, where):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "\n")
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {where} {path}: JSON nested too deeply at line 1\n"
+
+
 @pytest.mark.parametrize("law, group, reason", [
     ("klein_grid", "zd:1", "klein-specific family"),
     ("c_lower", "zd:2", "klein-specific family"),

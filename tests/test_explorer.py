@@ -10,6 +10,8 @@ import pytest
 
 from sumsetlab.errors import ParseError, ResourceLimitError, UsageError
 from sumsetlab.explorer import (
+    ATOM_HUNT_SUBSET_CAP,
+    HUNT_3K4_SET_CAP,
     SCHEMA_VERSION,
     Campaign,
     hunt,
@@ -479,6 +481,19 @@ def test_hunt_3k4_caps_before_enumerating(monkeypatch):
         hunt("3k4", {"backend": "zd:2", "radius": 3, "sizes": [8]})
 
 
+@pytest.mark.parametrize("conjecture, grid, what, cap", [
+    # 2^20000 sets C and C(20001, 10000) sets A: counts past Python's digit limit
+    ("atom_conjecture", {"span": 20_000}, "C", ATOM_HUNT_SUBSET_CAP),
+    ("3k4", {"span": 20_000, "sizes": [10_000]}, "A", HUNT_3K4_SET_CAP),
+    # universes too large to build
+    ("atom_conjecture", {"span": 10 ** 20}, "C", ATOM_HUNT_SUBSET_CAP),
+    ("3k4", {"span": 10 ** 20}, "A", HUNT_3K4_SET_CAP),
+])
+def test_hunt_cap_states_the_bound_before_building_the_universe(conjecture, grid, what, cap):
+    with pytest.raises(ResourceLimitError, match=f"^the universe gives more than {cap} sets {what}, the .* hunt cap$"):
+        hunt(conjecture, grid)
+
+
 def test_hunt_3k4_z():
     findings = hunt("3k4", {"backend": "zd:1", "span": 8, "sizes": [4]})
     assert findings == []
@@ -501,7 +516,7 @@ def test_hunt_3k4_checks_only_small_squares(monkeypatch, grid):
     monkeypatch.setattr(explorer, "check_3k4", recording_check)
     assert hunt("3k4", grid) == []
     backend = backend_from_spec(grid["backend"])
-    universe = explorer._universe_keys(backend, grid)
+    universe = explorer._universe_keys(backend, grid, lambda size: True, "")
     expected = [
         A for size in grid["sizes"]
         for A in (FiniteSubset._from_keys(backend, c) for c in itertools.combinations(universe, size))

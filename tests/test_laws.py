@@ -109,6 +109,16 @@ def test_equality_enumeration_cap(z1):
         check_equality_characterization(window, (2, 10))
 
 
+def test_equality_size_range_past_the_window(z1):
+    # no set has more elements than the window, so a huge upper size costs nothing
+    huge, whole = (check_equality_characterization(zset(z1, range(3)), (2, hi)) for hi in (10 ** 18, 3))
+    assert huge.witness.pop("sizes") == [2, 10 ** 18]
+    whole.witness.pop("sizes")
+    assert huge == whole and whole.witness["equality_pairs"] > 0
+    with pytest.raises(ResourceLimitError, match="^the pairs of sets exceed the enumeration cap 500000$"):
+        check_equality_characterization(zset(z1, range(30)), (2, 10 ** 18))
+
+
 # -- hls ---------------------------------------------------------------------------
 
 
@@ -208,6 +218,37 @@ def test_gardner_gronchi_d1_reduces_to_kempermann(z1):
     assert report.witness["rhs"] == pytest.approx(len(A) + len(B) - 1)
 
 
+def test_gardner_gronchi_ties_hold(z2):
+    # A = {(0,0), ..., (k,0), (0,1)} has |A + A| = 3|A| - 3, so L = |A| - 2 and
+    # L^2 = (|A| - 2)^2: the bound is met with equality
+    for k in range(1, 30):
+        A = FiniteSubset.from_keys(z2, [(i, 0) for i in range(k + 1)] + [(0, 1)])
+        report = check_gardner_gronchi(A, A)
+        assert report.witness["product_size"] == 3 * len(A) - 3
+        assert report.verdict == VERDICT_HOLDS and report.slack == pytest.approx(0)
+
+
+def test_gardner_gronchi_integer_form_matches_the_float_form(monkeypatch, z2):
+    # the product set loses its last `drop` (< |A| + |B| - 1) keys, so both verdicts occur; the
+    # exact verdict is |AB| >= rhs up to a 1e-9 band for float rounding
+    product_set = laws.product_set
+    rng = random.Random(29)
+    ball = z2.ball_keys(3)
+    verdicts = set()
+    for _ in range(150):
+        A, B = (FiniteSubset.from_keys(z2, rng.sample(ball, rng.randint(4, 9))) for _ in range(2))
+        A, B = (A, B) if len(A) >= len(B) else (B, A)
+        for drop in range(0, 7, 2):
+            monkeypatch.setattr(laws, "product_set", lambda A, B: FiniteSubset._from_keys(
+                z2, product_set(A, B).keys[:-drop or None]))
+            report = check_gardner_gronchi(A, B)
+            if report.verdict in (VERDICT_HOLDS, VERDICT_VIOLATED):
+                verdicts.add(report.verdict)
+                w = report.witness
+                assert (report.verdict == VERDICT_HOLDS) == (w["product_size"] >= w["rhs"] - 1e-9)
+    assert verdicts == {VERDICT_HOLDS, VERDICT_VIOLATED}
+
+
 # -- 3k-4 -----------------------------------------------------------------------------
 
 
@@ -247,10 +288,10 @@ def certified_result(backend, ckeys, n, radius):
     return C, kappa_restricted(IsoInstance(C, n, backend.ball(radius)), fragment_limit=0)
 
 
-def lemma_reports(C, n, result, k=None):
+def lemma_reports(C, n, result):
     """Each atom lemma's report on each certified atom, through its LAWS entry."""
     assert result.certificate == CERTIFIED_EXACT
-    return [LAWS[law].lemma(U, C, n, k) for U in result.atoms for law in ATOM_LAWS]
+    return [LAWS[law].lemma(U, C, n) for U in result.atoms for law in ATOM_LAWS]
 
 
 def test_atom_lemmas_z_interval(z1):
@@ -278,14 +319,15 @@ def test_atom_lemmas_skipped_without_certificate(z1):
     assert all(r.verdict == VERDICT_SKIPPED for r in reports)
 
 
-def test_atom_lemmas_explicit_k_gate(z1):
+def test_two_atom_derives_its_k(z1):
+    # each 2-atom U of {0, 1, 2} is a pair of neighbours: |UC| = 4, so the
+    # least k with |UC| <= |U| + |C| + k is -1, and |U| = 2 meets k + 3 exactly
     C, result = certified_result(z1, [(0,), (1,), (2,)], 2, 6)
-    reports = lemma_reports(C, 2, result, k=-1)
+    reports = lemma_reports(C, 2, result)
     two_atom = [r for r in reports if r.law == "two_atom"]
-    assert two_atom and all(r.verdict == VERDICT_HOLDS for r in two_atom)
-    reports_small_k = lemma_reports(C, 2, result, k=-2)
-    two_atom_small = [r for r in reports_small_k if r.law == "two_atom"]
-    assert two_atom_small and all(r.verdict == VERDICT_HYPOTHESIS_NOT_MET for r in two_atom_small)
+    assert two_atom and all((r.verdict, r.slack, r.witness["k"]) == (VERDICT_HOLDS, 0, -1) for r in two_atom)
+    # the lemmas that use no k leave it null
+    assert all(r.witness["k"] is None for r in reports if r.law not in ("two_atom", "n_atom"))
 
 
 def test_atom_nonunique_counting_path(z1):
@@ -293,7 +335,7 @@ def test_atom_nonunique_counting_path(z1):
     # have |U| = n, so the |U| > n branch never fires through kappa results
     U = zset(z1, [0, 1, 2])
     C = zset(z1, [0, 1, 2])
-    report = LAWS["atom_nonunique"].lemma(U, C, 2, None)
+    report = LAWS["atom_nonunique"].lemma(U, C, 2)
     # 0 has the single factorization 0 + 0, so a 3-set is not a 2-atom here
     assert report.verdict == VERDICT_VIOLATED
     assert report.witness["min_factorizations"] == 1
@@ -303,7 +345,7 @@ def test_atom_nonunique_counting_path(z1):
 def test_atom_reports_are_pinned():
     # the reports each lemma on each atom and each atom law's run wrote while
     # one function checked every lemma by comparing the law id: certified and
-    # uncertified instances, n = 1..3, explicit and derived k
+    # uncertified instances, n = 1..3, derived k
     rows = []
     for spec, radius in (("zd:1", 5), ("zd:2", 2), ("klein", 2), ("heis", 1)):
         backend = backend_from_spec(spec)
@@ -314,18 +356,17 @@ def test_atom_reports_are_pinned():
             C = FiniteSubset.from_keys(backend, ckeys)
             for n in (1, 2, 3):
                 result = kappa_restricted(IsoInstance(C, n, window), fragment_limit=0)
-                for k in (None, 0, 2):
-                    if result.certificate == CERTIFIED_EXACT:
-                        reports = lemma_reports(C, n, result, k)
-                    else:
-                        reports = [r for law in ATOM_LAWS for r in LAWS[law].run(C=C, n=n, window=window)]
-                    rows += [r.to_dict() for r in reports]
+                if result.certificate == CERTIFIED_EXACT:
+                    reports = lemma_reports(C, n, result)
+                else:
+                    reports = [r for law in ATOM_LAWS for r in LAWS[law].run(C=C, n=n, window=window)]
+                rows += [r.to_dict() for r in reports]
                 for law in ATOM_LAWS:
                     rows += [r.to_dict() for r in LAWS[law].run(C=C, n=n, window=window)]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
-    assert len(rows) == 1988
+    assert len(rows) == 994
     assert {r["verdict"] for r in rows} == {VERDICT_HOLDS, VERDICT_HYPOTHESIS_NOT_MET, VERDICT_SKIPPED}
-    assert digest == "bdbdd1f537eb2b3b5f3c75a35ef40b29fc9e09d549708fcb5ea67e12b0f93a84"
+    assert digest == "7ada941a5286aa2d0da9c111f05ad42675d81e4dbaf4725dfccc62b3a14cdcb4"
 
 
 @pytest.mark.parametrize("ckeys, n, atoms", [([(0, 0), (1, 0)], 3, 3), ([(0, 0), (1, 0), (0, 1)], 2, 0)])
@@ -339,9 +380,9 @@ def test_atom_law_runs_its_checker_once_per_atom(monkeypatch, ckeys, n, atoms):
     for law in ATOM_LAWS:
         lemma = LAWS[law].lemma
 
-        def counting(U, C, n, k, law=law, lemma=lemma):
+        def counting(U, C, n, law=law, lemma=lemma):
             calls[law] += 1
-            return lemma(U, C, n, k)
+            return lemma(U, C, n)
 
         monkeypatch.setitem(LAWS, law, dataclasses.replace(LAWS[law], lemma=counting))
     for law in ATOM_LAWS:
@@ -474,9 +515,9 @@ def test_klein_union_sits_at_ten_thirds():
 def test_klein_families_cap_their_products_at_the_table_cap(monkeypatch):
     # the grid needs 3 m^2 products and the union (3m + 1)^2
     assert len(klein_union_set(341)) == 1024
-    with pytest.raises(ResourceLimitError, match="union family at m = 342 needs 1054729 products"):
+    with pytest.raises(ResourceLimitError, match="union family at m = 342 needs more than 1048576 products"):
         klein_union_set(342)
-    with pytest.raises(ResourceLimitError, match="grid family at m = 592 needs 1051392 products"):
+    with pytest.raises(ResourceLimitError, match="grid family at m = 592 needs more than 1048576 products"):
         klein_grid_sets(592)
     monkeypatch.setattr(laws, "PRODUCT_TABLE_CAP", 300)
     assert len(klein_grid_sets(10)[1]) == 100
@@ -491,9 +532,9 @@ def test_klein_families_cap_their_products_at_the_table_cap(monkeypatch):
 def test_atom_conjecture_set_below_n_is_not_an_atom(z1):
     U = FiniteSubset.from_keys(z1, [(0,), (1,)])
     C = FiniteSubset.from_keys(z1, [(0,), (1,), (2,)])
-    report = LAWS["atom_conjecture"].lemma(U, C, 3, None)
+    report = LAWS["atom_conjecture"].lemma(U, C, 3)
     assert (report.verdict, report.slack, report.detail) == (VERDICT_HYPOTHESIS_NOT_MET, None, "|U| = 2 < n = 3")
-    report = LAWS["atom_conjecture"].lemma(U, C, 1, None)
+    report = LAWS["atom_conjecture"].lemma(U, C, 1)
     assert (report.verdict, report.slack, report.detail) == (VERDICT_FINDING, 1, "atom larger than n")
 
 
@@ -566,6 +607,19 @@ def test_corollary_klein_progression(klein):
 
 def test_corollary_small_set_gates(z1):
     assert check_corollary_AB(zset(z1, range(10))).verdict == VERDICT_HYPOTHESIS_NOT_MET
+
+
+def test_corollary_decides_its_size_boundary_exactly(z1):
+    # |A| = 1372 = 4 (2n + 3)^3 at n = 2, where the float n_bound reads 1.9999999999999996
+    A = zset(z1, [*range(1371), 1374])
+    report = check_corollary_AB(A)
+    assert (report.witness["n"], report.witness["cover_length"]) == (2, 1375)
+    assert report.witness["n_bound"] < 2
+    assert (report.verdict, report.slack) == (VERDICT_HOLDS, 0)
+    # one element fewer, still n = 2: the hypothesis needs |A| >= 1372
+    report = check_corollary_AB(zset(z1, [*range(1, 1371), 1374]))
+    assert report.witness["n"] == 2
+    assert report.verdict == VERDICT_HYPOTHESIS_NOT_MET
 
 
 # -- report plumbing ---------------------------------------------------------------------
