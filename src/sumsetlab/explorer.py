@@ -448,11 +448,32 @@ def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
     return findings
 
 
+def _binomials_fit(n: int, ks: tuple, cap: int) -> bool:
+    """Whether the sum of C(n, k) over ks is at most cap, with no binomial built far past cap.
+
+    C(n, k) = C(n, m) with m = min(k, n - k), and C(n, i) rises with i up
+    to n/2, so each binomial is built term by term up to m, and the sum
+    stops at the first term that takes it past cap. As C(n, i) >= 2^i for
+    i <= n/2, a binomial takes at most cap.bit_length() terms.
+    """
+    total = 0
+    for k in ks:
+        term = 1 if k <= n else 0
+        for i in range(min(k, n - k)):
+            term = term * (n - i) // (i + 1)
+            if total + term > cap:
+                return False
+        total += term
+        if total > cap:
+            return False
+    return True
+
+
 def _hunt_3k4(grid: dict) -> list[LawReport]:
     """Exhaustive small-square progression-cover scan over a universe."""
     backend = backend_from_spec(grid.get("backend", "zd:1"))
     sizes = _hunt_field(grid, "sizes", (4, 5), 1)
-    keys = _universe_keys(backend, grid, lambda size: sum(math.comb(size, k) for k in sizes) <= HUNT_3K4_SET_CAP,
+    keys = _universe_keys(backend, grid, lambda size: _binomials_fit(size, sizes, HUNT_3K4_SET_CAP),
                           f"{HUNT_3K4_SET_CAP} sets A, the 3k-4 hunt cap")
     universe = FiniteSubset._from_keys(backend, tuple(keys))
     table = ProductTable(universe, universe)

@@ -148,6 +148,15 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     Exhausts pairs A, B inside the window with sizes in the given range
     (minimum size 2); verdict is violated with the first offending pair as
     witness, and the slack counts violations.
+
+    The B side is walked once per left-translation class of A: every gA
+    inside the window reuses the walk of the first A of its class. Two
+    invariances make that exact. Left multiplication by g is a bijection
+    AP -> gAP, so ``small_products`` yields the same (B, |AB|) list for gA
+    as for A. And {x^-1 S : x in S} is the same family for S and gS, so
+    A's left ratio set (see _translate_ratios) is that of gA. Each A in a
+    class thus has the same tight pairs and the same violating B. A's class
+    key is the least sorted tuple of quotient numbers in that family.
     """
     lo, hi = size_range
     lo = max(lo, 2)
@@ -157,6 +166,10 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
         raise ResourceLimitError(f"the pairs of sets exceed the enumeration cap {EQUALITY_PAIR_CAP}")
     top = min(hi, len(window))  # the largest set the window holds
     table = ProductTable(window, window)
+    # quot[i][j] numbers keys[i]^-1 keys[j]: as many entries as the table, so under its cap
+    mul, numbers = window.backend.mul_key, {}
+    quot = [[numbers.setdefault(mul(x_inv, y), len(numbers)) for y in window.keys]
+            for x_inv in map(window.backend.inv_key, window.keys)]
     combos = [combo for size in range(lo, top + 1)
               for combo in itertools.combinations(range(len(window)), size)]
     ratios: dict = {}  # only sets in a tight pair need their ratios
@@ -166,19 +179,26 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
             ratios[combo] = _translate_ratios(table.subset(combo))
         return ratios[combo]
 
+    walks: dict = {}  # class key -> (tight pairs, violating B in walk order)
     equality_pairs = 0
     violations = 0
     first_bad = None
     for A in combos:
-        # the walk yields every B with |AB| <= |A| + |B| - 1; only equality counts
-        for B, size_ab in table.small_products(A, lo, top, len(A) - 1):
-            if size_ab != len(A) + len(B) - 1:
-                continue
-            equality_pairs += 1
-            if ratios_of(A)[0].isdisjoint(ratios_of(B)[1]):
-                violations += 1
-                if first_bad is None:
-                    first_bad = {"A": subset_payload(table.subset(A)), "B": subset_payload(table.subset(B))}
+        key = min(tuple(sorted(quot[i][j] for j in A)) for i in A)
+        if key not in walks:
+            tight, bad = 0, []
+            # the walk yields every B with |AB| <= |A| + |B| - 1; only equality counts
+            for B, size_ab in table.small_products(A, lo, top, len(A) - 1):
+                if size_ab == len(A) + len(B) - 1:
+                    tight += 1
+                    if ratios_of(A)[0].isdisjoint(ratios_of(B)[1]):
+                        bad.append(B)
+            walks[key] = tight, bad
+        tight, bad = walks[key]
+        equality_pairs += tight
+        violations += len(bad)
+        if bad and first_bad is None:
+            first_bad = {"A": subset_payload(table.subset(A)), "B": subset_payload(table.subset(bad[0]))}
     witness = {
         "window": subset_payload(window),
         "sizes": [lo, hi],

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
 
 import pytest
@@ -21,6 +22,7 @@ from sumsetlab.explorer import (
     sample_subset,
     summarize,
     write_records,
+    _binomials_fit,
     _instance_rng,
     _run_law_instance,
 )
@@ -492,6 +494,35 @@ def test_hunt_3k4_caps_before_enumerating(monkeypatch):
 def test_hunt_cap_states_the_bound_before_building_the_universe(conjecture, grid, what, cap):
     with pytest.raises(ResourceLimitError, match=f"^the universe gives more than {cap} sets {what}, the .* hunt cap$"):
         hunt(conjecture, grid)
+
+
+@pytest.mark.parametrize("n, ks", [(0, (1,)), (5, (6, 2)), (17, tuple(range(1, 18))), (40, (3, 20)), (10 ** 6, (1, 2))])
+def test_binomials_fit_accepts_the_exact_sum_and_refuses_one_less(n, ks):
+    total = sum(math.comb(n, k) for k in ks)
+    assert _binomials_fit(n, ks, total)
+    assert total == 0 or not _binomials_fit(n, ks, total - 1)
+
+
+@pytest.mark.parametrize("span, message", [
+    # C(cap, 1) = cap sets A pass the hunt cap and reach the product table's
+    (HUNT_3K4_SET_CAP - 1, "window products exceed the table cap"),
+    (HUNT_3K4_SET_CAP, f"the universe gives more than {HUNT_3K4_SET_CAP} sets A"),
+])
+def test_hunt_3k4_cap_boundary(span, message):
+    with pytest.raises(ResourceLimitError, match=message):
+        hunt("3k4", {"span": span, "sizes": [1]})
+
+
+def test_hunt_3k4_cap_builds_no_huge_binomial(monkeypatch):
+    comb = math.comb
+
+    def guarded_comb(n, k):
+        assert n <= HUNT_3K4_SET_CAP, f"comb({n}, {k}) past the cap"
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", guarded_comb)
+    with pytest.raises(ResourceLimitError, match=f"^the universe gives more than {HUNT_3K4_SET_CAP} sets A"):
+        hunt("3k4", {"span": 10 ** 20, "sizes": [200_000]})
 
 
 def test_hunt_3k4_z():

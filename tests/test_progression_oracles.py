@@ -11,6 +11,7 @@ from sumsetlab.laws import _translate_ratios, check_equality_characterization
 from sumsetlab.reports import subset_payload
 from sumsetlab.setops import (
     FiniteSubset,
+    ProductTable,
     ProgressionDescriptor,
     detect_progression,
     min_progression_cover,
@@ -258,3 +259,72 @@ FREE2_WIDE = FiniteSubset.from_keys(
 @example(FREE2_WIDE, (2, 3))
 def test_equality_checker_matches_oracles_on_wide_windows(window, sizes):
     assert_equality_matches_oracles(window, sizes)
+
+
+# -- the equality checker's left-translation memo -------------------------------
+
+
+def left_translates(window, A):
+    """Index tuples of the sets gA != A inside the window, for A an index tuple."""
+    backend, keys = window.backend, window.keys
+    index = {key: i for i, key in enumerate(keys)}
+    a0_inv = backend.inv_key(keys[A[0]])
+    for w in keys:
+        g = backend.mul_key(w, a0_inv)
+        moved = [index.get(backend.mul_key(g, keys[i])) for i in A]
+        if None not in moved and sorted(moved) != list(A):
+            yield tuple(sorted(moved))
+
+
+@pytest.mark.parametrize("spec", ("zd:2", "klein", "heis", "free:2"))
+def test_left_translates_share_their_walk_and_left_ratios(spec):
+    """The memo's premises: gA yields A's (B, |AB|) list and has A's left ratio set.
+
+    On the radius-1 ball every B is yielded (bound |W|); on the radius-2 ball
+    the walk runs with the checker's sizes and bound.
+    """
+    for radius, sizes, bound in ((1, range(1, 6), lambda A, n: n), (2, (2, 3), lambda A, n: len(A) - 1)):
+        window = BACKENDS[spec].ball(radius)
+        table = ProductTable(window, window)
+        lo, hi = min(sizes), max(sizes)
+        translated = 0
+        for A in (A for size in sizes for A in itertools.combinations(range(len(window)), size)):
+            walk = list(table.small_products(A, lo, hi, bound(A, len(window))))
+            left = _translate_ratios(table.subset(A))[0]
+            for gA in left_translates(window, A):
+                translated += 1
+                assert list(table.small_products(gA, lo, hi, bound(A, len(window)))) == walk
+                assert _translate_ratios(table.subset(gA))[0] == left
+        assert translated
+
+
+def translation_classes(window, sizes):
+    """The number of left-translation classes of index tuples, by union-find over translates."""
+    parent = {A: A for size in sizes for A in itertools.combinations(range(len(window)), size)}
+
+    def root(A):
+        while parent[A] != A:
+            A = parent[A]
+        return A
+
+    for A in parent:
+        for gA in left_translates(window, A):
+            parent[root(gA)] = root(A)
+    return len({root(A) for A in parent})
+
+
+@pytest.mark.parametrize("spec, pairs", [("zd:2", 760), ("klein", 906)])
+def test_equality_walks_once_per_left_translation_class(monkeypatch, spec, pairs):
+    """ball(2) at sizes (2, 3): 364 sets A fall into 158 classes, and the pair count is unchanged."""
+    calls = []
+    walk = ProductTable.small_products
+
+    def counting_walk(self, A, *args):
+        calls.append(A)
+        return walk(self, A, *args)
+
+    monkeypatch.setattr(ProductTable, "small_products", counting_walk)
+    window = BACKENDS[spec].ball(2)
+    report = check_equality_characterization(window, (2, 3))
+    assert len(calls) == translation_classes(window, (2, 3)) == 158
+    assert report.witness["equality_pairs"] == pairs and report.verdict == "holds"
