@@ -24,7 +24,6 @@ from .setops import (
     deficiency,
     detect_progression,
     dimension,
-    max_progression_partition,
     min_progression_cover,
     product_set,
     product_size,
@@ -35,7 +34,6 @@ from .isoperimetry import (
     UPPER_BOUND_ONLY,
     IsoInstance,
     IsoResult,
-    check_intersection_property,
     kappa_restricted,
 )
 from .reports import LawReport

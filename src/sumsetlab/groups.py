@@ -100,7 +100,6 @@ class GroupBackend:
     """
 
     spec: str = ""
-    unique_product: bool = True
     identity_key: tuple = ()
 
     def __init__(self):

@@ -13,12 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError, UsageError
-from .reports import (
-    LawReport,
-    VERDICT_HOLDS,
-    VERDICT_VIOLATED,
-    subset_payload,
-)
 from .setops import FiniteSubset, ProductTable
 
 CERTIFIED_EXACT = "certified_exact"
@@ -184,27 +178,3 @@ def kappa_restricted(inst: IsoInstance, fragment_limit: int = FRAGMENT_SAMPLE_LI
     fragments = tuple(FiniteSubset._from_keys(backend, ks) for ks in frag_keys)
     certificate = CERTIFIED_EXACT if value == global_lower else UPPER_BOUND_ONLY
     return IsoResult(value, atoms, fragments, certificate)
-
-
-def check_intersection_property(U: FiniteSubset, F: FiniteSubset, n: int, certificate: str | None = None) -> LawReport:
-    """Atom/fragment intersection dichotomy: U inside F, or |U meet F| <= n - 1.
-
-    For non-certified inputs a false verdict signals window insufficiency
-    rather than a counterexample, so the certificate rides along in the
-    report.
-    """
-    inter = len(U.intersection(F))
-    if U.is_subset(F):
-        verdict, slack, detail = VERDICT_HOLDS, 0, "U is a subset of F"
-    else:
-        slack = inter - (n - 1)
-        verdict = VERDICT_HOLDS if slack <= 0 else VERDICT_VIOLATED
-        detail = ""
-    witness = {
-        "U": subset_payload(U),
-        "F": subset_payload(F),
-        "n": n,
-        "intersection_size": inter,
-        "certificate": certificate,
-    }
-    return LawReport("atom_intersection", verdict, slack, witness, detail)

@@ -257,8 +257,6 @@ def check_corollary_AB(A: FiniteSubset) -> LawReport:
     at most |A| + n + 1. The witness keeps the float bound as n_bound.
     """
     witness = {"A": subset_payload(A)}
-    if not A.backend.unique_product:
-        return _hyp("corollary_ab", witness, "backend lacks the unique product property")
     if len(A) < UNIQUE_PRODUCT_SQUARE_THRESHOLD:
         return _hyp("corollary_ab", witness, f"|A| = {len(A)} < 6^3 = {UNIQUE_PRODUCT_SQUARE_THRESHOLD}")
     sq = product_size(A, A)
@@ -434,22 +432,21 @@ def check_uvk(B: FiniteSubset, d: int) -> LawReport:
 
 
 def check_main_theorem(A: FiniteSubset, B: FiniteSubset, k: int, use_general_bound: bool = False) -> LawReport:
-    """|AB| > |A| + |B| + k once |B| clears the backend's size gate.
+    """|AB| > |A| + |B| + k once |B| clears the size gate.
 
-    Unique-product backends use the cubic gate 4(2k+3)^3; the general gate
-    32(k+3)^6 applies otherwise or with use_general_bound. Campaign draws
-    never reach the general gate: every backend has the unique product
-    property and no campaign grid sets use_general_bound. At k = 1 the gate
-    is 131,072, below BALL_ELEMENT_CAP, so `verify --general-bound` on a
-    large enough B clears it. Instances below it are reported as
-    skipped-by-scale hypothesis failures.
+    Every backend has the unique product property, so the gate is the cubic
+    4(2k+3)^3; only use_general_bound selects the general gate 32(k+3)^6,
+    which no campaign grid sets. At k = 1 that gate is 131,072, below
+    BALL_ELEMENT_CAP, so `verify --general-bound` on a large enough B
+    clears it. Instances below it are reported as skipped-by-scale
+    hypothesis failures.
     """
     if k < 1:
         raise UsageError("the theorem is stated for k >= 1")
     witness = _pair_witness(A, B, k=k, use_general_bound=use_general_bound)
     if cyclic_hull_contains(A) is not None:
         return _hyp("main_theorem", witness, "A lies in a left coset of a cyclic subgroup")
-    if use_general_bound or not A.backend.unique_product:
+    if use_general_bound:
         gate = 32 * (k + 3) ** 6
         gate_name = "32(k+3)^6"
         scale_note = "skipped-by-scale: "
@@ -666,8 +663,7 @@ LAW_IDS = tuple(LAWS)
 # the atom lemmas are the laws on an isoperimetric instance (C, n, window)
 ATOM_LAWS = tuple(law for law, entry in LAWS.items() if "C" in entry.sets)
 CONJECTURE_LAWS = frozenset(law for law, entry in LAWS.items() if entry.status == CONJECTURE)
-# atom_intersection is isoperimetry's check
-THEOREM_LAWS = frozenset(law for law, entry in LAWS.items() if entry.status == THEOREM) | {"atom_intersection"}
+THEOREM_LAWS = frozenset(law for law, entry in LAWS.items() if entry.status == THEOREM)
 
 
 def replay(report: LawReport) -> LawReport:

@@ -68,11 +68,6 @@ class FiniteSubset:
         i = bisect_left(keys, key)
         return i < len(keys) and keys[i] == key
 
-    def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
-        _check_same_backend(self, other)
-        members = set(other._keys)
-        return FiniteSubset._from_keys(self.backend, tuple(k for k in self._keys if k in members))
-
     def is_subset(self, other: "FiniteSubset") -> bool:
         _check_same_backend(self, other)
         return set(other._keys).issuperset(self._keys)
@@ -333,10 +328,9 @@ class ProductTable:
 class ProgressionDescriptor:
     """The set {base * ratio^i : 0 <= i < length}.
 
-    :func:`detect_progression` and the cover search build descriptors
-    whose base commutes with the ratio; the parts produced by
-    :func:`max_progression_partition` are one-sided strings and need not
-    commute.
+    Every descriptor of length >= 2 has a base that commutes with its
+    ratio, so the set is also {ratio^i * base}; a length-1 descriptor's
+    ratio is a placeholder (see :func:`detect_progression`).
     """
 
     base: GroupElement
@@ -481,28 +475,3 @@ def cyclic_hull_contains(A: FiniteSubset) -> Optional[tuple[GroupElement, GroupE
         return (a0, backend.generators[0])
     root = next(_hull_roots(A), None)
     return None if root is None else (a0, GroupElement(backend, root[0]))
-
-
-def max_progression_partition(U: FiniteSubset, g: GroupElement) -> list[ProgressionDescriptor]:
-    """Partition of U into maximal strings {h, hg, ..., h g^alpha}.
-
-    The number of parts m satisfies |U meet Ug| = |U| - m. Parts are
-    one-sided g-strings, so their bases need not commute with g.
-    """
-    U.backend.check_element(g)
-    if g.is_identity():
-        raise DomainError("partition requires g != 1")
-    mul = U.backend.mul_key
-    g_inv = U.backend.inv_key(g.key)
-    members = set(U.keys)
-    parts = []
-    for h in U.keys:
-        if mul(h, g_inv) in members:
-            continue
-        length = 1
-        cur = mul(h, g.key)
-        while cur in members:
-            length += 1
-            cur = mul(cur, g.key)
-        parts.append(ProgressionDescriptor(GroupElement(U.backend, h), g, length))
-    return parts

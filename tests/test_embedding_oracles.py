@@ -8,6 +8,17 @@ other way, if phi(a0^-1 A) lies in some <k>, it lies in the intersection
 of <k> with phi(G), a subgroup of a cyclic group and so cyclic, <phi(h)>;
 as phi is injective, a0^-1 A lies in <h>.
 
+Covers and progressions go through phi too. A cover {b r^i : 0 <= i < L}
+of A, with b commuting with r, maps to the cover {phi(b) phi(r)^i} of
+phi(A), of the same length as phi is injective, with phi(b) commuting
+with phi(r); so when |A| >= 2 and A has a cover, phi(A) has one no
+longer. phi may add ratios outside phi(G), so the cover of phi(A) can be
+shorter. A is exactly a progression when phi(A) is. One way is the case
+L = |A| above. The other way, for |A| >= 2: if phi(A) = {c s^i} with c
+commuting with s, then c is a term and s = (c s^i)^-1 (c s^(i+1)), a
+quotient of two terms, so both lie in phi(G); as phi is injective they
+are phi(b) and phi(r) with b commuting with r, and A = {b r^i}.
+
 The embeddings: zd:2 -> klein, (i, j) -> u^(2i) v^j; zd:2 -> heis as
 (i, 0, j) and as (0, i, j); zd:1 -> every backend, n -> g^n for its first
 generator g, which has infinite order as every backend is torsion-free;
@@ -20,7 +31,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsetlab.groups import backend_from_spec
-from sumsetlab.setops import FiniteSubset, cyclic_hull_contains, deficiency, product_set, product_size
+from sumsetlab.setops import (
+    FiniteSubset,
+    cyclic_hull_contains,
+    deficiency,
+    detect_progression,
+    min_progression_cover,
+    product_set,
+    product_size,
+)
 
 Z1, Z2, F2 = (backend_from_spec(spec) for spec in ("zd:1", "zd:2", "free:2"))
 HEIS = backend_from_spec("heis")
@@ -34,7 +53,7 @@ TARGETS = ("zd:1", "zd:2", "zd:3", "klein", "heis", "free:1", "free:2", "free:3"
 
 
 def assert_embedding_keeps_products(H, phi, A, B):
-    """phi(A) phi(B) on H against AB on A's backend: size, image, deficiency and cyclic hull."""
+    """phi(A) phi(B) on H against AB on A's backend: size, image, deficiency, cyclic hull, cover and progression."""
 
     def image(S):
         return FiniteSubset.from_keys(H, map(phi, S.keys))
@@ -45,6 +64,11 @@ def assert_embedding_keeps_products(H, phi, A, B):
     assert product_set(hA, hB).keys == image(AB).keys
     assert deficiency(hA, hB) == deficiency(A, B)
     assert (cyclic_hull_contains(hA) is None) == (cyclic_hull_contains(A) is None)
+    assert (detect_progression(hA) is None) == (detect_progression(A) is None)
+    cover = min_progression_cover(A) if len(A) >= 2 else None
+    if cover is not None:
+        image_cover = min_progression_cover(hA)
+        assert image_cover is not None and image_cover <= cover
 
 
 point = st.tuples(st.integers(-6, 6), st.integers(-6, 6))

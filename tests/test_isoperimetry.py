@@ -14,7 +14,6 @@ from sumsetlab.isoperimetry import (
     FRAGMENT_SAMPLE_LIMIT,
     UPPER_BOUND_ONLY,
     IsoInstance,
-    check_intersection_property,
     kappa_restricted,
 )
 from sumsetlab.setops import PRODUCT_TABLE_CAP, FiniteSubset, product_size
@@ -385,18 +384,3 @@ def test_identity_only_window(z1):
     assert result.kappa_hat == 1
     assert result.certificate == CERTIFIED_EXACT
     assert [U.keys for U in result.atoms] == [((0,),)]
-
-
-def test_intersection_property_cases(z1):
-    U = zset(z1, [0, 1])
-    F_super = zset(z1, [0, 1, 2])
-    assert check_intersection_property(U, F_super, 2).verdict == "holds"
-    assert check_intersection_property(U, U, 2).verdict == "holds"
-    far = zset(z1, [3, 4, 5])
-    report = check_intersection_property(U, far, 2)
-    assert report.verdict == "holds"
-    assert report.witness["intersection_size"] == 0
-    overlapping = zset(z1, [0, 1, 5])
-    bad = check_intersection_property(overlapping, zset(z1, [0, 1, 7]), 2, certificate=UPPER_BOUND_ONLY)
-    assert bad.verdict == "violated"
-    assert bad.witness["certificate"] == UPPER_BOUND_ONLY

@@ -16,6 +16,7 @@ from sumsetlab.laws import (
     ATOM_LAWS,
     CONJECTURE_LAWS,
     LAWS,
+    LAW_IDS,
     THEOREM_LAWS,
     check_3k4,
     check_c_lower,
@@ -666,3 +667,5 @@ def test_law_status_partition():
     assert CONJECTURE_LAWS == {"atom_conjecture"}
     assert "kempermann" in THEOREM_LAWS and "uvk" in THEOREM_LAWS
     assert not (THEOREM_LAWS & CONJECTURE_LAWS)
+    # the exit-code set is exactly the catalogue's non-conjecture laws
+    assert THEOREM_LAWS == frozenset(LAW_IDS) - CONJECTURE_LAWS

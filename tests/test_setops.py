@@ -17,7 +17,6 @@ from sumsetlab.setops import (
     deficiency,
     detect_progression,
     dimension,
-    max_progression_partition,
     min_progression_cover,
     product_set,
     product_size,
@@ -85,7 +84,6 @@ def test_membership_and_subsets_match_python_sets(spec, data):
     for key in backend.ball_keys(3):
         assert S.contains_key(key) == (key in S_keys)
         assert (backend.element(key) in S) == (key in S_keys)
-    assert S.intersection(T).keys == tuple(sorted(S_keys & T_keys))
     assert S.is_subset(T) == (S_keys <= T_keys)
     assert T.is_subset(S) == (T_keys <= S_keys)
     assert backend.identity_key not in S and 0 not in S
@@ -227,8 +225,6 @@ def test_an_element_of_another_backend_is_usage_error(spec, foreign):
             U.translate_left(g)
         with pytest.raises(UsageError, match=message):
             U.translate_right(g)
-        with pytest.raises(UsageError, match=message):
-            max_progression_partition(U, g)
 
 
 def test_kempermann_small_fuzz(any_backend):
@@ -546,50 +542,6 @@ def test_cyclic_hull_exotic_klein_roots(klein):
     witness = cyclic_hull_contains(A)
     assert witness is not None
     assert witness[1].key == (1, 5)
-
-
-# -- maximal progression partition ---------------------------------------------------
-
-
-def test_partition_example(z1):
-    U = zset(z1, [0, 1, 2, 5, 6])
-    parts = max_progression_partition(U, z1.parse("(1)"))
-    shapes = sorted((p.base.key[0], p.length) for p in parts)
-    assert shapes == [(0, 3), (5, 2)]
-    shifted = {(v + 1,) for v in [0, 1, 2, 5, 6]}
-    overlap = len(shifted & set(U.keys))
-    assert overlap == len(U) - len(parts) == 3
-
-
-def test_partition_single_progression(z1):
-    U = zset(z1, [3, 5, 7])
-    parts = max_progression_partition(U, z1.parse("(2)"))
-    assert len(parts) == 1 and parts[0].length == 3
-
-
-def test_partition_all_singletons(z1):
-    U = zset(z1, [0, 10, 20])
-    parts = max_progression_partition(U, z1.parse("(1)"))
-    assert len(parts) == 3
-    assert all(p.length == 1 for p in parts)
-
-
-def test_partition_identity_rejected(z1):
-    with pytest.raises(DomainError):
-        max_progression_partition(zset(z1, [0]), z1.identity)
-
-
-def test_partition_overlap_identity_random(any_backend):
-    rng = random.Random(73)
-    for _ in range(40):
-        U = random_subset(rng, any_backend, 3, rng.randint(1, 9))
-        g = any_backend.element(rng.choice([k for k in any_backend.ball_keys(2) if k != any_backend.identity_key]))
-        parts = max_progression_partition(U, g)
-        mul = any_backend.mul_key
-        shifted = {mul(x, g.key) for x in U.keys}
-        assert len(shifted & set(U.keys)) == len(U) - len(parts)
-        covered = sorted(k for p in parts for k in p.expand().keys)
-        assert covered == list(U.keys)
 
 
 # -- set text round trip ----------------------------------------------------------------
