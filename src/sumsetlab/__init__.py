@@ -27,7 +27,6 @@ from .setops import (
     min_progression_cover,
     product_set,
     product_size,
-    progression_ratios,
 )
 from .isoperimetry import (
     CERTIFIED_EXACT,

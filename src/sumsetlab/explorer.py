@@ -30,7 +30,7 @@ from .errors import ParseError, ResourceLimitError, UsageError
 from .groups import DEFAULT_BALL_CAP, GroupBackend, LatticeBackend, _digit_limit, _is_int, backend_from_spec
 from .laws import LAW_IDS, LAWS, THEOREM_LAWS, check_3k4
 from .reports import LawReport, VERDICT_FINDING, VERDICT_SKIPPED, VERDICT_VIOLATED, VERDICTS
-from .setops import FiniteSubset, ProductTable, _text_lines
+from .setops import FiniteSubset, ProductTable, _binomials_fit, _text_lines
 
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
@@ -446,27 +446,6 @@ def _hunt_atom_conjecture(grid: dict) -> list[LawReport]:
         for n in range(1, min(n_max, len(window)) + 1):
             findings += [r for r in law.run(C=C, n=n, window=window) if r.verdict == VERDICT_FINDING]
     return findings
-
-
-def _binomials_fit(n: int, ks: tuple, cap: int) -> bool:
-    """Whether the sum of C(n, k) over ks is at most cap, with no binomial built far past cap.
-
-    C(n, k) = C(n, m) with m = min(k, n - k), and C(n, i) rises with i up
-    to n/2, so each binomial is built term by term up to m, and the sum
-    stops at the first term that takes it past cap. As C(n, i) >= 2^i for
-    i <= n/2, a binomial takes at most cap.bit_length() terms.
-    """
-    total = 0
-    for k in ks:
-        term = 1 if k <= n else 0
-        for i in range(min(k, n - k)):
-            term = term * (n - i) // (i + 1)
-            if total + term > cap:
-                return False
-        total += term
-        if total > cap:
-            return False
-    return True
 
 
 def _hunt_3k4(grid: dict) -> list[LawReport]:

@@ -63,12 +63,6 @@ class GroupElement:
             raise UsageError(f"an exponent must be an integer, got {n!r}")
         return GroupElement(self.backend, self.backend.pow_key(self.key, n))
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.backend, self.backend.inv_key(self.key))
-
-    def is_identity(self) -> bool:
-        return self.key == self.backend.identity_key
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupElement)

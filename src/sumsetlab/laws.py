@@ -11,8 +11,8 @@ verify`` and :func:`replay` all run a law through its entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -34,17 +34,18 @@ from .setops import (
     PRODUCT_TABLE_CAP,
     FiniteSubset,
     ProductTable,
+    _binomials_fit,
+    _translate_ratio,
     cyclic_hull_contains,
     deficiency,
     dimension,
     min_progression_cover,
     product_set,
     product_size,
-    progression_ratios,
 )
 
 UNIQUE_PRODUCT_SQUARE_THRESHOLD = 216  # 6^3
-EQUALITY_PAIR_CAP = 500_000
+EQUALITY_SET_CAP = 707  # sets the equality checker lists, each both an A and a B
 ISO_C_MAX_SIZE = 6  # largest C an atom-law campaign draws
 
 
@@ -154,30 +155,30 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     invariances make that exact. Left multiplication by g is a bijection
     AP -> gAP, so ``small_products`` yields the same (B, |AB|) list for gA
     as for A. And {x^-1 S : x in S} is the same family for S and gS, so
-    A's left ratio set (see _translate_ratios) is that of gA. Each A in a
+    A's left ratio (see setops._translate_ratio) is that of gA. Each A in a
     class thus has the same tight pairs and the same violating B. A's class
-    key is the least sorted tuple of quotient numbers in that family.
+    key is the least sorted tuple of quotient numbers in that family. A tight
+    pair violates exactly when A's left ratio is None or differs from B's
+    right ratio, the left ratio of B^-1; each is computed once per set.
     """
     lo, hi = size_range
     lo = max(lo, 2)
     if hi < lo:
         raise UsageError("empty size range")
-    if not _pairs_fit(len(window), lo, hi):
-        raise ResourceLimitError(f"the pairs of sets exceed the enumeration cap {EQUALITY_PAIR_CAP}")
     top = min(hi, len(window))  # the largest set the window holds
+    if not _binomials_fit(len(window), range(lo, top + 1), EQUALITY_SET_CAP):
+        raise ResourceLimitError(f"the window gives more than {EQUALITY_SET_CAP} sets, the equality cap")
     table = ProductTable(window, window)
     # quot[i][j] numbers keys[i]^-1 keys[j]: as many entries as the table, so under its cap
-    mul, numbers = window.backend.mul_key, {}
-    quot = [[numbers.setdefault(mul(x_inv, y), len(numbers)) for y in window.keys]
-            for x_inv in map(window.backend.inv_key, window.keys)]
+    backend, numbers = window.backend, {}
+    inverses = list(map(backend.inv_key, window.keys))
+    quot = [[numbers.setdefault(backend.mul_key(x_inv, y), len(numbers)) for y in window.keys]
+            for x_inv in inverses]
     combos = [combo for size in range(lo, top + 1)
               for combo in itertools.combinations(range(len(window)), size)]
-    ratios: dict = {}  # only sets in a tight pair need their ratios
-
-    def ratios_of(combo: tuple) -> tuple[frozenset, frozenset]:
-        if combo not in ratios:
-            ratios[combo] = _translate_ratios(table.subset(combo))
-        return ratios[combo]
+    left_ratio = functools.cache(lambda A: _translate_ratio(table.subset(A)))
+    right_ratio = functools.cache(lambda B: _translate_ratio(
+        FiniteSubset._from_keys(backend, tuple(sorted(inverses[j] for j in B)))))
 
     walks: dict = {}  # class key -> (tight pairs, violating B in walk order)
     equality_pairs = 0
@@ -191,7 +192,7 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
             for B, size_ab in table.small_products(A, lo, top, len(A) - 1):
                 if size_ab == len(A) + len(B) - 1:
                     tight += 1
-                    if ratios_of(A)[0].isdisjoint(ratios_of(B)[1]):
+                    if left_ratio(A) is None or left_ratio(A) != right_ratio(B):
                         bad.append(B)
             walks[key] = tight, bad
         tight, bad = walks[key]
@@ -207,25 +208,6 @@ def check_equality_characterization(window: FiniteSubset, size_range: tuple[int,
     }
     verdict = VERDICT_HOLDS if violations == 0 else VERDICT_VIOLATED
     return LawReport("equality", verdict, violations, witness)
-
-
-def _pairs_fit(n: int, lo: int, hi: int) -> bool:
-    """Whether the pairs of subsets of an n-element window, sized lo..hi, number at most EQUALITY_PAIR_CAP."""
-    sets = itertools.accumulate(math.comb(n, size) for size in range(lo, min(hi, n) + 1))
-    return all(count * count <= EQUALITY_PAIR_CAP for count in sets)
-
-
-def _translate_ratios(S: FiniteSubset) -> tuple[frozenset, frozenset]:
-    """Ratio keys of the progressions x^-1 S and S x^-1, for x in S.
-
-    Both sets are the same for every x in S, so x is the first element. A
-    pair (A, B) is a translated common-ratio pair exactly when A's left set
-    meets B's right set.
-    """
-    x_inv = next(iter(S)).inverse()
-    left, right = S.translate_left(x_inv), S.translate_right(x_inv)
-    return (frozenset(r.key for r in progression_ratios(left)),
-            frozenset(r.key for r in progression_ratios(right)))
 
 
 # -- progression covering laws -------------------------------------------
@@ -595,12 +577,12 @@ def _sample_larger_first(draw, params: dict) -> dict:
 
 
 def _sample_equality(draw, params: dict) -> dict | str:
-    """The ball of radius at most 2, with the widest size range under the pair cap."""
+    """The ball of radius at most 2, with the widest size range under the set cap."""
     if draw.hi < 2:
         return f"size range [{draw.lo}, {draw.hi}] is below the minimum set size 2"
     window = draw.backend.ball(min(draw.radius, 2))
     for max_size in range(min(draw.hi, 3), 1, -1):
-        if _pairs_fit(len(window), 2, max_size):
+        if _binomials_fit(len(window), range(2, max_size + 1), EQUALITY_SET_CAP):
             return {"window": window, "sizes": (2, max_size)}
     return "window too large for exhaustive pair enumeration"
 

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, product
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     DomainError,
@@ -72,16 +72,6 @@ class FiniteSubset:
         _check_same_backend(self, other)
         return set(other._keys).issuperset(self._keys)
 
-    def translate_left(self, g: GroupElement) -> "FiniteSubset":
-        self.backend.check_element(g)
-        mul = self.backend.mul_key
-        return FiniteSubset._from_keys(self.backend, tuple(sorted(mul(g.key, k) for k in self._keys)))
-
-    def translate_right(self, g: GroupElement) -> "FiniteSubset":
-        self.backend.check_element(g)
-        mul = self.backend.mul_key
-        return FiniteSubset._from_keys(self.backend, tuple(sorted(mul(k, g.key) for k in self._keys)))
-
     def __len__(self) -> int:
         return len(self._keys)
 
@@ -124,14 +114,6 @@ class FiniteSubset:
     @classmethod
     def from_file(cls, backend: GroupBackend, path) -> "FiniteSubset":
         return cls.from_text(backend, "".join(_text_lines(path, "set file")))
-
-    def to_text(self) -> str:
-        fmt = self.backend.format_key
-        return "".join(fmt(k) + "\n" for k in self._keys)
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
 
 
 def _text_lines(path, what: str):
@@ -249,6 +231,27 @@ def product_size(A: FiniteSubset, B: FiniteSubset) -> int:
 def deficiency(A: FiniteSubset, B: FiniteSubset) -> int:
     """|AB| - |A| - |B|; at least -1 on torsion-free backends."""
     return product_size(A, B) - len(A) - len(B)
+
+
+def _binomials_fit(n: int, ks: Iterable[int], cap: int) -> bool:
+    """Whether the sum of C(n, k) over ks is at most cap, with no binomial built far past cap.
+
+    C(n, k) = C(n, m) with m = min(k, n - k), and C(n, i) rises with i up
+    to n/2, so each binomial is built term by term up to m, and the sum
+    stops at the first term that takes it past cap. As C(n, i) >= 2^i for
+    i <= n/2, a binomial takes at most cap.bit_length() terms.
+    """
+    total = 0
+    for k in ks:
+        term = 1 if k <= n else 0
+        for i in range(min(k, n - k)):
+            term = term * (n - i) // (i + 1)
+            if total + term > cap:
+                return False
+        total += term
+        if total > cap:
+            return False
+    return True
 
 
 class ProductTable:
@@ -418,12 +421,26 @@ def detect_progression(A: FiniteSubset) -> Optional[ProgressionDescriptor]:
     return next((desc for desc in _covers(A) if desc.length == len(A)), None)
 
 
-def progression_ratios(A: FiniteSubset) -> tuple[GroupElement, ...]:
-    """All ratios r != 1 for which A itself is an r-progression: r and r^-1, or none."""
-    if len(A) < 2:
-        return ()
-    desc = detect_progression(A)
-    return () if desc is None else tuple(sorted((desc.ratio, desc.ratio.inverse())))
+def _translate_ratio(S: FiniteSubset) -> Optional[tuple]:
+    """The lesser key of r and r^-1 when x^-1 S is an r-progression for x in S, or None.
+
+    {r, r^-1} does not depend on x: if x^-1 S = {r^i : lo <= i <= hi} and
+    x' = x r^j, then x'^-1 S = {r^(i-j)}. So x is a0, whose quotients
+    _hull_roots tests, and x^-1 S is exact when a root's exponents fill
+    (max - min) / g + 1 = |S| places, g their gcd; then r = h^g, unique up
+    to inverse (see detect_progression). _covers' commutation test is not
+    needed: x^-1 S contains 1, so its base is a power of r. S's right
+    ratio, that of S y^-1, is the left ratio of S^-1, as S y^-1 = (y S^-1)^-1.
+    """
+    if len(S) < 2:
+        return None
+    backend = S.backend
+    for h, exps in _hull_roots(S):
+        g = gcd(*exps)
+        if (max(exps) - min(exps)) // g + 1 == len(S):
+            r = backend.pow_key(h, g)
+            return min(r, backend.inv_key(r))
+    return None
 
 
 def min_progression_cover(A: FiniteSubset) -> Optional[int]:

@@ -38,6 +38,16 @@ def heis():
 
 
 @pytest.fixture
+def write_set():
+    """Write a set to a file, one format_key line per element, as from_file reads it."""
+
+    def write(S, path):
+        path.write_text("".join(S.backend.format_key(k) + "\n" for k in S.keys), encoding="utf-8")
+
+    return write
+
+
+@pytest.fixture
 def too_long_int():
     """A decimal integer one digit past the limit of Python's int(str)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -1,10 +1,12 @@
 """CLI contract: subcommands, formats, exit codes."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+from sumsetlab import laws
 from sumsetlab.cli import build_parser, main
 from sumsetlab.explorer import Campaign, run_campaign
 from sumsetlab.groups import WORD_LENGTH_CAP, FreeBackend, backend_from_spec
@@ -35,11 +37,11 @@ def test_sumset_interval(z_files, capsys):
     assert "deficiency = -1" in out
 
 
-def test_sumset_klein_grid(tmp_path, capsys):
+def test_sumset_klein_grid(tmp_path, capsys, write_set):
     A, B = klein_grid_sets(3)
     afile, bfile = tmp_path / "A.txt", tmp_path / "B.txt"
-    A.to_file(afile)
-    B.to_file(bfile)
+    write_set(A, afile)
+    write_set(B, bfile)
     code, out, _ = run_cli(capsys, "sumset", str(afile), str(bfile), "--group", "klein", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -136,6 +138,13 @@ def test_verify_equality(capsys):
     assert "equality: holds" in out
 
 
+def test_verify_equality_past_the_set_cap_exits_2(capsys):
+    # zd:4 ball(2) has 41 elements and C(41, 2) = 820 sets of size 2
+    code, _, err = run_cli(capsys, "verify", "--law", "equality", "--group", "zd:4",
+                           "--radius", "2", "--max-size", "2")
+    assert code == 2 and "the window gives more than 707 sets, the equality cap" in err
+
+
 def test_verify_family_laws(capsys):
     code, out, _ = run_cli(capsys, "verify", "--law", "klein_grid", "--group", "klein", "--m", "4")
     assert code == 0 and "klein_grid: holds" in out
@@ -145,12 +154,12 @@ def test_verify_family_laws(capsys):
     assert code == 0 and "c_lower: holds" in out
 
 
-def test_verify_uvk(tmp_path, capsys):
+def test_verify_uvk(tmp_path, capsys, write_set):
     from sumsetlab.laws import klein_grid_sets
 
     _, B = klein_grid_sets(11)
     bfile = tmp_path / "B.txt"
-    B.to_file(bfile)
+    write_set(B, bfile)
     code, out, _ = run_cli(capsys, "verify", "--law", "uvk", "--group", "klein",
                            "--b-file", str(bfile), "--d", "3")
     assert code == 0 and "uvk: holds" in out
@@ -227,6 +236,21 @@ def test_report_flags_theorem_violations(tmp_path, capsys):
     assert "kempermann,0,1" in out
 
 
+@pytest.mark.parametrize("verdict, code", [("violated", 1), ("finding", 0)])
+def test_explore_exit_code_follows_a_theorem_violation(monkeypatch, tmp_path, capsys, verdict, code):
+    # LAWS looks check_kempermann up at call time, so the patched checker runs in the campaign
+    check = laws.check_kempermann
+    monkeypatch.setattr(laws, "check_kempermann", lambda A, B: dataclasses.replace(check(A, B), verdict=verdict))
+    config, store = tmp_path / "campaign.json", tmp_path / "run.jsonl"
+    config.write_text(json.dumps({"backends": ["zd:1"], "laws": ["kempermann"], "budget": 3, "seed": 4}))
+    assert run_cli(capsys, "explore", "--config", str(config), "--out", str(store))[0] == code
+    records = [json.loads(line) for line in store.read_text().splitlines()]
+    assert [r["report"]["verdict"] for r in records] == [verdict] * 3
+    report_code, out, _ = run_cli(capsys, "report", "--run", str(store))
+    assert report_code == code and out.splitlines()[1].startswith(
+        "kempermann,0,3,0,0" if verdict == "violated" else "kempermann,0,0,0,3")
+
+
 def test_explore_missing_seed_prints_one(tmp_path, capsys):
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps({
@@ -291,7 +315,7 @@ KLEIN_VERIFY_LAWS = {"uvk", "klein_grid", "klein_union", "c_lower"}
 
 
 @pytest.mark.parametrize("law", LAW_IDS)
-def test_verify_runs_every_registered_law(law, tmp_path, capsys):
+def test_verify_runs_every_registered_law(law, tmp_path, capsys, write_set):
     group = "klein" if law in KLEIN_VERIFY_LAWS else "zd:2"
     if group == "klein":
         A, B = klein_grid_sets(11)
@@ -306,7 +330,7 @@ def test_verify_runs_every_registered_law(law, tmp_path, capsys):
     files = []
     for name, S in sets.items():
         path = tmp_path / f"{name}.txt"
-        S.to_file(path)
+        write_set(S, path)
         files += [f"--{name}-file", str(path)]
     code, out, err = run_cli(capsys, "verify", "--law", law, "--group", group, "--n", "2",
                              "--radius", "2", "--max-size", "3", *files)

@@ -22,12 +22,11 @@ from sumsetlab.explorer import (
     sample_subset,
     summarize,
     write_records,
-    _binomials_fit,
     _instance_rng,
     _run_law_instance,
 )
 from sumsetlab.groups import backend_from_spec
-from sumsetlab.setops import FiniteSubset, product_size
+from sumsetlab.setops import FiniteSubset, _binomials_fit, product_size
 
 BACKEND_SPECS = ("zd:1", "zd:2", "free:2", "klein", "heis")
 
@@ -315,14 +314,22 @@ def test_campaign_records_replay():
 
 
 def test_equality_campaign_clamps_large_windows():
-    # free:2 ball(2) has 17 elements; the size-3 pair grid would exceed the
-    # enumeration cap, so the runner clamps the size range instead of failing
+    # free:2 ball(2) has 17 elements; its 816 sets of sizes 2-3 would exceed the
+    # equality set cap, so the runner clamps the size range instead of failing
     campaign = Campaign(backends=("free:2",), laws=("equality",), budget=1, seed=1,
                         radius=3, sizes=(1, 8))
     run = run_campaign(campaign)
     assert run.clean
     assert run.records[0]["report"]["verdict"] == "holds"
     assert run.records[0]["report"]["witness"]["sizes"] == [2, 2]
+
+
+def test_equality_campaign_skips_a_window_too_large_for_any_size_range():
+    # zd:4 ball(2) has 41 elements, and its C(41, 2) = 820 sets of size 2 already exceed the set cap
+    run = run_campaign(Campaign(backends=("zd:4",), laws=("equality",), budget=1, radius=2, sizes=(2, 3)))
+    assert run.clean
+    assert [(r["report"]["verdict"], r["report"]["detail"]) for r in run.records] == [
+        ("skipped", "window too large for exhaustive pair enumeration")]
 
 
 @pytest.mark.parametrize("law, config, detail", [
@@ -613,6 +620,15 @@ def test_read_records_rejects_another_schema_version(tmp_path):
     write_records(path, run.records[:2] + [dict(run.records[2], schema_version=99)])
     with pytest.raises(ParseError, match="schema_version 99 .* at line 3"):
         read_records(path)
+
+
+def test_read_records_skips_blank_lines(tmp_path):
+    run = run_campaign(small_campaign())
+    path = tmp_path / "records.jsonl"
+    lines = [json.dumps(record) for record in run.records[:4]]
+    path.write_text("\n" + "\n \t\n".join(lines) + "\n\n   \n", encoding="utf-8")
+    assert read_records(path) == run.records[:4]
+    assert summarize(read_records(path)) == summarize(run.records[:4])
 
 
 def test_read_records_breaks_lines_only_at_newlines(tmp_path):

@@ -75,10 +75,10 @@ def max_exponent_oracle(backend, g_key, pool, bound):
 
 def test_klein_relator_and_derived_products(klein):
     u, v = klein.generators
-    assert u.inverse() * v * u == v.inverse()
+    assert u ** -1 * v * u == v ** -1
     assert v * u == klein.parse("u v^-1")
     assert (v * u).key == (1, -1)
-    assert v.inverse() * u == u * v
+    assert v ** -1 * u == u * v
 
 
 def test_klein_multiply_matches_rewriting_oracle(klein):
@@ -104,8 +104,9 @@ def test_identity_laws(any_backend):
     for g in any_backend.ball(2):
         assert g * e == g
         assert e * g == g
-        assert g * g.inverse() == e
-        assert g.inverse() * g == e
+        g_inv = any_backend.element(any_backend.inv_key(g.key))
+        assert g * g_inv == e
+        assert g_inv * g == e
 
 
 def test_multiply_rejects_backend_mix(z1, klein):
@@ -123,10 +124,10 @@ def test_associativity_fuzz(any_backend):
 
 
 def test_invert_examples(z2, klein, free2):
-    assert z2.parse("(3,-1)").inverse() == z2.parse("(-3,1)")
-    assert free2.parse("a b^-1").inverse() == free2.parse("b a^-1")
+    assert z2.parse("(3,-1)") ** -1 == z2.parse("(-3,1)")
+    assert free2.parse("a b^-1") ** -1 == free2.parse("b a^-1")
     for g in klein.ball(4):
-        assert (g * g.inverse()).is_identity()
+        assert g * g ** -1 == klein.identity
 
 
 def test_klein_inverse_closed_form(klein):
@@ -134,13 +135,13 @@ def test_klein_inverse_closed_form(klein):
         for b in range(-4, 5):
             g = klein.element((a, b))
             expected = (-a, -b if a % 2 == 0 else b)
-            assert g.inverse().key == expected
+            assert klein.inv_key(g.key) == expected
 
 
 def test_power_examples(z2, klein, any_backend):
     assert klein.parse("u v") ** 2 == klein.parse("u^2")
     assert (z2.parse("(1,2)") ** 3).key == (3, 6)
-    assert (any_backend.generators[0] ** 0).is_identity()
+    assert any_backend.generators[0] ** 0 == any_backend.identity
 
 
 @pytest.mark.parametrize("exponent", [0.5, 2.5, 2.0, True, "2", None])
@@ -191,7 +192,7 @@ def test_primitive_root_identity_rejected(any_backend):
 
 def test_primitive_root_soundness(any_backend):
     for g in any_backend.ball(4):
-        if g.is_identity():
+        if g == any_backend.identity:
             continue
         root, e = any_backend.primitive_root(g)
         assert e >= 1
@@ -695,5 +696,5 @@ def test_heisenberg_cross_term(heis):
     x, y = heis.generators
     assert (x * y).key == (1, 1, 1)
     assert (y * x).key == (1, 1, 0)
-    commutator = x * y * x.inverse() * y.inverse()
+    commutator = x * y * x ** -1 * y ** -1
     assert commutator.key == (0, 0, 1)

@@ -116,8 +116,16 @@ def test_equality_size_range_past_the_window(z1):
     assert huge.witness.pop("sizes") == [2, 10 ** 18]
     whole.witness.pop("sizes")
     assert huge == whole and whole.witness["equality_pairs"] > 0
-    with pytest.raises(ResourceLimitError, match="^the pairs of sets exceed the enumeration cap 500000$"):
+    with pytest.raises(ResourceLimitError, match="^the window gives more than 707 sets, the equality cap$"):
         check_equality_characterization(zset(z1, range(30)), (2, 10 ** 18))
+
+
+@pytest.mark.parametrize("sizes, fits", [((2, 2), 38), ((2, 3), 16)])
+def test_equality_set_cap_boundary(z1, sizes, fits):
+    # C(38, 2) = 703 and C(16, 2) + C(16, 3) = 680 sets fit under 707; C(39, 2) = 741 and 136 + 680 = 816 do not
+    assert check_equality_characterization(zset(z1, range(fits)), sizes).verdict == VERDICT_HOLDS
+    with pytest.raises(ResourceLimitError, match="^the window gives more than 707 sets, the equality cap$"):
+        check_equality_characterization(zset(z1, range(fits + 1)), sizes)
 
 
 # -- hls ---------------------------------------------------------------------------

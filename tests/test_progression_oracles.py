@@ -7,15 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from sumsetlab import laws
 from sumsetlab.groups import backend_from_spec
-from sumsetlab.laws import _translate_ratios, check_equality_characterization
+from sumsetlab.laws import check_equality_characterization
 from sumsetlab.reports import subset_payload
 from sumsetlab.setops import (
     FiniteSubset,
     ProductTable,
     ProgressionDescriptor,
     detect_progression,
+    _translate_ratio,
     min_progression_cover,
-    progression_ratios,
 )
 
 BACKEND_SPECS = ("zd:1", "zd:2", "free:2", "klein", "heis")
@@ -105,12 +105,29 @@ def oracle_min_cover(A):
     return min(lengths, default=None)
 
 
+def translates(S, left):
+    """Every x^-1 S (left) or S x^-1 (right), for x in S."""
+    backend = S.backend
+    mul = backend.mul_key
+    for x_inv in map(backend.inv_key, S.keys):
+        yield FiniteSubset.from_keys(backend, (mul(x_inv, s) if left else mul(s, x_inv) for s in S.keys))
+
+
 def oracle_common_ratio_pair(A, B):
     """True when some x^-1 A and some B y^-1 are progressions with a common ratio."""
     ratios_a = set()
-    for x in A:
-        ratios_a.update(oracle_ratios(A.translate_left(x.inverse())))
-    return any(ratios_a.intersection(oracle_ratios(B.translate_right(y.inverse()))) for y in B)
+    for xA in translates(A, left=True):
+        ratios_a.update(oracle_ratios(xA))
+    return any(ratios_a.intersection(oracle_ratios(By)) for By in translates(B, left=False))
+
+
+def ratio_pair(S, r):
+    """The ratio set (r, r^-1), sorted, that _translate_ratio's key r stands for; () for None."""
+    return () if r is None else tuple(sorted((r, S.backend.inv_key(r))))
+
+
+def inverse_set(S):
+    return FiniteSubset.from_keys(S.backend, map(S.backend.inv_key, S.keys))
 
 
 # -- strategies ----------------------------------------------------------------
@@ -181,8 +198,10 @@ def test_detect_progression_matches_permutation_scan(A):
 
 @ORACLE_SETTINGS
 @given(small_sets())
-def test_progression_ratios_match_permutation_scan(A):
-    assert tuple(r.key for r in progression_ratios(A)) == oracle_ratios(A)
+def test_progression_ratio_and_inverse_match_permutation_scan(A):
+    desc = detect_progression(A)
+    got = () if len(A) < 2 or desc is None else ratio_pair(A, desc.ratio.key)
+    assert got == oracle_ratios(A)
 
 
 @ORACLE_SETTINGS
@@ -195,9 +214,21 @@ def test_min_cover_matches_pair_quotient_scan(A):
 @given(set_pairs())
 def test_first_element_ratios_match_all_translates(pair):
     A, B = pair
-    left, _ = _translate_ratios(A)
-    _, right = _translate_ratios(B)
-    assert (not left.isdisjoint(right)) == oracle_common_ratio_pair(A, B)
+    left, right = _translate_ratio(A), _translate_ratio(inverse_set(B))
+    assert (left is not None and left == right) == oracle_common_ratio_pair(A, B)
+
+
+@pytest.mark.parametrize("spec", ("zd:2", "klein"))
+def test_translate_ratio_matches_every_translate_on_the_ball(spec):
+    """Exhaustive on ball(2) at sizes 2-3: S's left ratio and S^-1's are the ratio
+    sets of every x^-1 S and of every S x^-1."""
+    window = BACKENDS[spec].ball(2)
+    for size in (2, 3):
+        for keys in itertools.combinations(window.keys, size):
+            S = FiniteSubset._from_keys(window.backend, keys)
+            left, right = ratio_pair(S, _translate_ratio(S)), ratio_pair(S, _translate_ratio(inverse_set(S)))
+            assert all(oracle_ratios(xS) == left for xS in translates(S, left=True))
+            assert all(oracle_ratios(Sx) == right for Sx in translates(S, left=False))
 
 
 def naive_tight_pairs(window, lo, hi):
@@ -218,7 +249,7 @@ def assert_equality_matches_oracles(window, sizes):
     assert report.witness["equality_pairs"] == len(tight)
     assert report.slack == sum(not oracle_common_ratio_pair(A, B) for A, B in tight)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(laws, "_translate_ratios", lambda S: (frozenset(), frozenset()))
+        mp.setattr(laws, "_translate_ratio", lambda S: None)
         report = check_equality_characterization(window, sizes)
     assert report.witness["equality_pairs"] == report.slack == len(tight)
     first = None if not tight else {"A": subset_payload(tight[0][0]), "B": subset_payload(tight[0][1])}
@@ -290,11 +321,11 @@ def test_left_translates_share_their_walk_and_left_ratios(spec):
         translated = 0
         for A in (A for size in sizes for A in itertools.combinations(range(len(window)), size)):
             walk = list(table.small_products(A, lo, hi, bound(A, len(window))))
-            left = _translate_ratios(table.subset(A))[0]
+            left = _translate_ratio(table.subset(A))
             for gA in left_translates(window, A):
                 translated += 1
                 assert list(table.small_products(gA, lo, hi, bound(A, len(window)))) == walk
-                assert _translate_ratios(table.subset(gA))[0] == left
+                assert _translate_ratio(table.subset(gA)) == left
         assert translated
 
 

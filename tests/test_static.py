@@ -51,6 +51,15 @@ def module_level_names(tree):
             yield from ((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
 
 
+def public_methods(tree):
+    """(line, class, name) of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield item.lineno, node.name, item.name
+
+
 def package_trees():
     return {path: parse(path) for path in sorted(glob.glob("src/sumsetlab/*.py", root_dir=ROOT))}
 
@@ -69,19 +78,39 @@ def test_every_private_module_level_name_is_read_by_a_package_module():
     assert not unread, "\n".join(unread)
 
 
-def test_every_public_module_level_name_has_a_reader():
-    # a public module-level function, class or assignment needs a reader in
-    # a package module other than __init__.py, whose imports only re-export,
-    # or in perfbench/, or a mention in README; tests do not count as readers
-    trees = package_trees()
+def public_readers(trees):
+    """A predicate: whether a public name is read by a package module other than
+    __init__.py, whose imports only re-export, or in perfbench/, or named in README."""
     readers = [tree for path, tree in trees.items() if path != "src/sumsetlab/__init__.py"]
     readers += [parse(path) for path in sorted(glob.glob("perfbench/*.py", root_dir=ROOT))]
     read = set().union(*map(names_read, readers))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return lambda name: name in read or re.search(rf"\b{name}\b", readme) is not None
+
+
+def test_every_public_module_level_name_has_a_reader():
+    # a public module-level function, class or assignment needs a reader, as
+    # public_readers counts them; tests do not count as readers
+    trees = package_trees()
+    has_reader = public_readers(trees)
     unread = [
         f"{path}:{line}: {name} is read by no package module or perfbench/ and README does not name it"
         for path, tree in trees.items()
         for line, name in module_level_names(tree)
-        if not name.startswith("_") and name not in read and not re.search(rf"\b{name}\b", readme)
+        if not name.startswith("_") and not has_reader(name)
+    ]
+    assert not unread, "\n".join(unread)
+
+
+def test_every_public_method_has_a_reader():
+    # likewise for a public method of a package class; a method is read by
+    # its attribute name, whatever the object
+    trees = package_trees()
+    has_reader = public_readers(trees)
+    unread = [
+        f"{path}:{line}: {cls}.{name} is read by no package module or perfbench/ and README does not name it"
+        for path, tree in trees.items()
+        for line, cls, name in public_methods(tree)
+        if not has_reader(name)
     ]
     assert not unread, "\n".join(unread)
